@@ -7,11 +7,8 @@ import sys
 import numpy as np
 
 from . import harness, theory as accuracy
-from .channel import ElementGains, noise_var_from_snr
-from .codes import (default_taps_for_length, generate_msequence, msequence_code,
-                    periodic_autocorrelation, to_bipolar, walsh_matrix)
+from .codes import generate_msequence, periodic_autocorrelation, to_bipolar, walsh_matrix
 from .errors import ArrayCalError
-from .receiver import ZfEqualizer
 
 
 def _parse_taps(text):
@@ -60,18 +57,12 @@ def _cmd_codes_check(args):
 
 
 def _cmd_theory_eval(args):
-    noise_var = noise_var_from_snr(args.ev_n0_db, 1.0)
-    gains = ElementGains.with_random_phases(
-        args.elements, harness.rng_stream(args.seed, 0, 0))
-    if args.scheme == "OMA":
-        stats = accuracy.oma_noise_stats(noise_var, args.elements)
-    else:
-        taps = args.taps or default_taps_for_length(args.length)
-        code = msequence_code(args.length, taps)
-        eq = ZfEqualizer.for_dimensions(args.length, args.elements)
-        cov = accuracy.csms_peak_noise_cov(code, args.elements, noise_var)
-        stats = accuracy.csms_gain_noise_stats(eq, cov)
-    point = accuracy.closed_form_point(gains, stats)
+    # A one-point scenario: the same validation and point model as `simulate`.
+    cfg = harness.ScenarioConfig(scheme=args.scheme, code_length=args.length,
+                                 n_elements=args.elements, snr_grid_db=(args.ev_n0_db,),
+                                 master_seed=args.seed, taps=args.taps)
+    model = harness.PointModel.build(cfg, harness.scenario_points(cfg)[0])
+    point = accuracy.closed_form_point(model.gains, model.noise_stats())
     print(f"scheme={args.scheme} V={args.elements} L={args.length} EvN0={args.ev_n0_db} dB")
     print(f"gain RMSE (element-averaged): {accuracy.average_rmse(point.gain_rmse_db):.6g} dB")
     print(f"phase RMSE (element-averaged): {accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
@@ -86,21 +77,16 @@ def _cmd_simulate(args):
     if args.trials is not None:
         raw["trials"] = args.trials
     cfg = harness.ScenarioConfig.from_dict(raw)
-    report = harness.run_scenario(cfg, workers=args.workers)
-    if args.out:
-        report.write_csv(args.out)
-    else:
-        sys.stdout.write(report.to_csv_text())
-    return 0
+    return _emit(harness.run_scenario(cfg, workers=args.workers), args.out)
 
 
 def _cmd_reproduce(args):
-    report = harness.reproduce_figure(args.figure, master_seed=args.seed,
-                                      trials=args.trials, workers=args.workers)
-    if args.out:
-        report.write_csv(args.out)
-    else:
-        sys.stdout.write(report.to_csv_text())
+    return _emit(harness.reproduce_figure(args.figure, master_seed=args.seed,
+                                          trials=args.trials, workers=args.workers), args.out)
+
+
+def _emit(report, out):
+    report.write_csv(out or sys.stdout)
     return 0
 
 

@@ -1,5 +1,8 @@
 """Monte-Carlo scenario runner, figure-reproduction grids, CSV reports.
 
+Each grid point is built once into an immutable ``PointModel``; it feeds
+one receive chain, in process or pickled to pool workers, and the theory.
+
 Determinism contract: a report is a pure function of the scenario
 configuration.  Every trial draws its noise (and, in per-trial phase
 mode, its phases) from a generator seeded by the entropy triple
@@ -11,6 +14,8 @@ sums are reduced in fixed trial order.
 
 import csv
 import io
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -56,7 +61,6 @@ class ScenarioConfig:
     master_seed: int = DEFAULT_SEED
     taps: tuple = None
     phase_policy: str = "per-point"
-    amplitude_policy: str = "all-ones"
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -67,8 +71,6 @@ class ScenarioConfig:
             raise ConfigError("trials must be >= 1")
         if self.phase_policy not in PHASE_POLICIES:
             raise ConfigError(f"phase_policy must be one of {PHASE_POLICIES}")
-        if self.amplitude_policy != "all-ones":
-            raise ConfigError("only the all-ones amplitude policy is supported")
         if self.snr_grid_db is not None:
             object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
             if not self.snr_grid_db:
@@ -84,6 +86,10 @@ class ScenarioConfig:
                 raise ConfigError("ev_n0_db (or a link budget) is required with v_grid")
             for v in self.v_grid:
                 self._check_elements(v)
+        # +inf is valid and means noise-free.
+        for snr in (*(self.snr_grid_db or ()), self.ev_n0_db):
+            if snr is not None and (math.isnan(snr) or snr == -math.inf):
+                raise ConfigError(f"snr_grid_db and ev_n0_db must be numbers or +inf, got {snr}")
         if self.taps is not None:
             object.__setattr__(self, "taps", tuple(int(t) for t in self.taps))
             if self.scheme != "CSMS":
@@ -109,6 +115,8 @@ class ScenarioConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+        if d.get("amplitude_policy", "all-ones") != "all-ones":
+            raise ConfigError("only the all-ones amplitude policy is supported")
         ev_n0_db = d.get("ev_n0_db")
         if "link_budget" in d:
             if ev_n0_db is not None:
@@ -130,7 +138,6 @@ class ScenarioConfig:
                 master_seed=int(d.get("master_seed", DEFAULT_SEED)),
                 taps=d.get("taps"),
                 phase_policy=d.get("phase_policy", "per-point"),
-                amplitude_policy=d.get("amplitude_policy", "all-ones"),
             )
         except KeyError as e:
             raise ConfigError(f"scenario file is missing field {e}") from None
@@ -162,75 +169,86 @@ def rng_stream(master_seed, *key):
                                   *(int(k) for k in key)])
 
 
-class _PointContext:
-    """Precomputed per-point state shared by every trial at that point."""
+@dataclass(frozen=True)
+class PointModel:
+    """Everything the trials of one grid point share; built once, never mutated.
 
-    def __init__(self, cfg, point):
+    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA, Fortran
+    order so that ``code.T`` is contiguous).  ``signal`` is ``_realize`` of
+    ``gains``, or None with per-trial phases: each trial then draws its own.
+    """
+
+    point: GridPoint
+    master_seed: int
+    noise_var: float
+    gains: ElementGains
+    code: np.ndarray
+    eq: ZfEqualizer | None
+    signal: tuple | None
+
+    @classmethod
+    def build(cls, cfg, point):
         v, l = point.n_elements, point.code_length
-        self.point = point
-        self.noise_var = noise_var_from_snr(point.ev_n0_db, 1.0)
-        phase_rng = rng_stream(cfg.master_seed, point.index, 0)
-        self.gains = ElementGains.with_random_phases(v, phase_rng)
+        gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
         if point.scheme == "OMA":
-            self.code_matrix_t = np.ascontiguousarray(walsh_matrix(l, v).T)
-            self.offsets = None
-            self.code = None
-            self.eq = None
+            code, eq = np.asfortranarray(walsh_matrix(l, v)), None
         else:
-            self.code = msequence_code(l, cfg.taps)
-            self.offsets = list(range(v))
-            self.eq = ZfEqualizer.for_dimensions(l, v)
-            self.code_matrix_t = None
-        self._set_gains(self.gains)
-
-    def _set_gains(self, gains):
-        self.truth_gain_db = 20.0 * np.log10(gains.amplitudes[1:] / gains.amplitudes[0])
-        self.truth_phase_deg = np.degrees(gains.phases[1:] - gains.phases[0])
-        if self.point.scheme == "OMA":
-            self.clean = self.code_matrix_t.T @ gains.w
-        else:
-            self.clean = csms_clean_stream(self.code, self.offsets, gains)
+            code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
+        signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains)
+        return cls(point, cfg.master_seed, noise_var_from_snr(point.ev_n0_db, 1.0),
+                   gains, code, eq, signal)
 
     def noise_stats(self):
+        """Error statistics of the receiver's gain estimates at this point."""
         if self.point.scheme == "OMA":
             return accuracy.oma_noise_stats(self.noise_var, self.point.n_elements)
         cov = accuracy.csms_peak_noise_cov(self.code, self.point.n_elements, self.noise_var)
         return accuracy.csms_gain_noise_stats(self.eq, cov)
 
 
-def _trial_errors(ctx, cfg, trial_index):
-    """One synthesize -> receive -> extract pass; returns (gain, phase) error arrays."""
-    rng = rng_stream(cfg.master_seed, ctx.point.index, 1 + trial_index)
-    if cfg.phase_policy == "per-trial":
-        ctx._set_gains(ElementGains.with_random_phases(ctx.point.n_elements, rng))
-    window = ctx.clean + complex_awgn(rng, ctx.clean.size, ctx.noise_var)
-    if ctx.point.scheme == "OMA":
-        estimates = ctx.code_matrix_t @ window
+def _realize(point, code, gains):
+    """Truth (gain dB, phase deg) and noise-free receive signal for one set of gains."""
+    truth_gain_db = 20.0 * np.log10(gains.amplitudes[1:] / gains.amplitudes[0])
+    truth_phase_deg = np.degrees(gains.phases[1:] - gains.phases[0])
+    if point.scheme == "OMA":
+        clean = code @ gains.w
     else:
-        peaks = csms_peaks(ctx.code, ctx.offsets, window)
-        estimates = zf_equalize(peaks, ctx.eq)
+        clean = csms_clean_stream(code, range(point.n_elements), gains)
+    return truth_gain_db, truth_phase_deg, clean
+
+
+def _trial_errors(model, trial_index):
+    """One synthesize -> receive -> extract pass; returns (gain, phase) error arrays.
+
+    Pure in the model and the trial's generator: phases (per-trial mode), then noise.
+    """
+    point = model.point
+    rng = rng_stream(model.master_seed, point.index, 1 + trial_index)
+    if model.signal is None:
+        gains = ElementGains.with_random_phases(point.n_elements, rng)
+        truth_gain_db, truth_phase_deg, clean = _realize(point, model.code, gains)
+    else:
+        truth_gain_db, truth_phase_deg, clean = model.signal
+    window = clean + complex_awgn(rng, clean.size, model.noise_var)
+    if point.scheme == "OMA":
+        estimates = oma_estimate(model.code, window)
+    else:
+        peaks = csms_peaks(model.code, range(point.n_elements), window)
+        estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates)
-    gain_err = report.gain_db - ctx.truth_gain_db
-    phase_err = wrap_degrees(report.phase_deg - ctx.truth_phase_deg)
+    gain_err = report.gain_db - truth_gain_db
+    phase_err = wrap_degrees(report.phase_deg - truth_phase_deg)
     return gain_err, phase_err
 
 
 def run_trial(cfg, point, trial_index):
-    """Public single-trial entry point; identical math to the batch runner."""
-    return _trial_errors(_PointContext(cfg, point), cfg, trial_index)
+    """Public single-trial entry point; the same chain the scenario runner uses."""
+    return _trial_errors(PointModel.build(cfg, point), trial_index)
 
 
-def _trial_chunk(cfg, point, start, stop):
-    ctx = _PointContext(cfg, point)
-    n = stop - start
-    v = point.n_elements
-    gain_sq = np.empty((n, v - 1))
-    phase_sq = np.empty((n, v - 1))
-    for i, t in enumerate(range(start, stop)):
-        ge, pe = _trial_errors(ctx, cfg, t)
-        gain_sq[i] = ge**2
-        phase_sq[i] = pe**2
-    return gain_sq, phase_sq
+def _trial_chunk(model, start, stop):
+    errors = [_trial_errors(model, t) for t in range(start, stop)]
+    return np.array([g for g, _ in errors])**2, np.array([p for _, p in errors])**2
 
 
 def _batch_stderr(sq_errors):
@@ -305,22 +323,20 @@ class RmseReport:
 
 
 def _run_point(cfg, point, workers):
-    ctx = _PointContext(cfg, point)
+    model = PointModel.build(cfg, point)
     trials = cfg.trials
     if workers > 1 and trials >= 4 * workers:
         edges = np.linspace(0, trials, workers * 4 + 1).astype(int)
         spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_chunk,
-                                  [cfg] * len(spans), [point] * len(spans),
+            parts = list(pool.map(_trial_chunk, [model] * len(spans),
                                   [a for a, _ in spans], [b for _, b in spans]))
         gain_sq = np.concatenate([p[0] for p in parts], axis=0)
         phase_sq = np.concatenate([p[1] for p in parts], axis=0)
     else:
-        gain_sq, phase_sq = _trial_chunk(cfg, point, 0, trials)
+        gain_sq, phase_sq = _trial_chunk(model, 0, trials)
 
-    stats = ctx.noise_stats()
-    predicted = accuracy.theory_point(ctx.gains, stats)
+    predicted = accuracy.theory_point(model.gains, model.noise_stats())
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,
@@ -338,8 +354,10 @@ def _run_point(cfg, point, workers):
 
 
 def run_scenario(cfg, workers=1):
-    """Run every grid point of a scenario and report theory next to simulation."""
-    workers = max(1, int(workers))
+    """Run every grid point of a scenario and report theory next to simulation.
+
+    ``workers`` is capped at ``os.cpu_count()``."""
+    workers = max(1, min(int(workers), os.cpu_count() or 1))
     rows = [_run_point(cfg, point, workers) for point in scenario_points(cfg)]
     return RmseReport(rows=tuple(rows))
 
@@ -366,28 +384,18 @@ def _v_sweep(code_length):
 
 
 def _fig78_configs(master_seed, trials):
-    def t(default):
-        return trials or default
+    def sweep(scheme, code_length, v_grid, default_trials):
+        return ScenarioConfig(scheme=scheme, code_length=code_length, v_grid=v_grid,
+                              ev_n0_db=30.0, trials=trials or default_trials,
+                              master_seed=master_seed)
 
-    configs = [ScenarioConfig(scheme="OMA", code_length=512, v_grid=(50,),
-                              ev_n0_db=30.0, trials=t(DEFAULT_TRIALS),
-                              master_seed=master_seed)]
-    for l in (127, 255):
-        configs.append(ScenarioConfig(scheme="CSMS", code_length=l, v_grid=_v_sweep(l),
-                                      ev_n0_db=30.0, trials=t(DEFAULT_TRIALS),
-                                      master_seed=master_seed))
     vs511 = _v_sweep(511)
-    configs.append(ScenarioConfig(scheme="CSMS", code_length=511,
-                                  v_grid=[v for v in vs511 if v <= 204],
-                                  ev_n0_db=30.0, trials=t(DEFAULT_TRIALS),
-                                  master_seed=master_seed))
-    configs.append(ScenarioConfig(scheme="CSMS", code_length=511,
-                                  v_grid=[v for v in vs511 if 204 < v <= 408],
-                                  ev_n0_db=30.0, trials=t(3_000), master_seed=master_seed))
-    configs.append(ScenarioConfig(scheme="CSMS", code_length=511,
-                                  v_grid=[v for v in vs511 if v > 408],
-                                  ev_n0_db=30.0, trials=t(1_000), master_seed=master_seed))
-    return configs
+    return [sweep("OMA", 512, (50,), DEFAULT_TRIALS),
+            sweep("CSMS", 127, _v_sweep(127), DEFAULT_TRIALS),
+            sweep("CSMS", 255, _v_sweep(255), DEFAULT_TRIALS),
+            sweep("CSMS", 511, [v for v in vs511 if v <= 204], DEFAULT_TRIALS),
+            sweep("CSMS", 511, [v for v in vs511 if 204 < v <= 408], 3_000),
+            sweep("CSMS", 511, [v for v in vs511 if v > 408], 1_000)]
 
 
 def figure_configs(name, master_seed=DEFAULT_SEED, trials=None):

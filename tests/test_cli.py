@@ -77,6 +77,23 @@ class TestTheoryEval:
         assert take(out_csms) > take(out_oma)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "OMA", "--elements", "8", "--length", "63"],
+        ["--scheme", "OMA", "--elements", "100", "--length", "64"],
+        ["--scheme", "OMA", "--elements", "8", "--length", "64", "--taps", "6,5"],
+        ["--scheme", "CSMS", "--elements", "64", "--length", "63"],
+    ], ids=["oma-odd-length", "oma-too-many-elements", "oma-taps", "csms-too-many-elements"])
+    def test_rejects_what_simulate_rejects(self, capsys, argv):
+        code, out, err = run_cli(capsys, "theory", "eval", *argv, "--ev-n0-db", "20")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_rejects_nan_snr(self, capsys):
+        code, _, err = run_cli(capsys, "theory", "eval", "--scheme", "CSMS",
+                               "--elements", "8", "--length", "63", "--ev-n0-db", "nan")
+        assert code == 2 and err.startswith("error:")
+
+
 class TestSimulate:
     def write_config(self, tmp_path, **overrides):
         raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 5,
@@ -107,6 +124,13 @@ class TestSimulate:
         cfg = self.write_config(tmp_path, scheme="XMA")
         code, _, err = run_cli(capsys, "simulate", str(cfg))
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("snr", [float("nan"), float("-inf")])
+    def test_simulate_non_finite_snr_reports_error(self, capsys, tmp_path, snr):
+        cfg = self.write_config(tmp_path, snr_grid_db=[25.0, snr])
+        code, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_workers_byte_identical_small(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, trials=32)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from arraycal import harness
 from arraycal.errors import ConfigError, UnknownFigure
-from arraycal.harness import (CSV_COLUMNS, GridPoint, RmseReport, ScenarioConfig,
+from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
 
@@ -74,6 +77,44 @@ class TestScenarioConfig:
                "link_budget": {"eirp_dbw": 0, "path_loss_db": 0, "g_over_t_dbk": 0,
                                "ts_seconds": 1.0}}
         with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_non_finite_snr_grid_rejected(self, snr):
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            small_csms_config(snr_grid_db=(20.0, snr))
+
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_non_finite_ev_n0_rejected(self, snr):
+        with pytest.raises(ConfigError, match="ev_n0_db"):
+            ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4,), ev_n0_db=snr)
+
+    @pytest.mark.parametrize("path_loss_db", [math.nan, math.inf])
+    def test_non_finite_link_budget_rejected(self, path_loss_db):
+        raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4],
+               "link_budget": {"eirp_dbw": 10.0, "path_loss_db": path_loss_db,
+                               "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
+        with pytest.raises(ConfigError, match="ev_n0_db"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_plus_inf_snr_means_noise_free(self):
+        cfg = ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4,), ev_n0_db=math.inf)
+        assert PointModel.build(cfg, scenario_points(cfg)[0]).noise_var == 0.0
+
+    def test_amplitude_policy_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            small_csms_config(amplitude_policy="all-ones")
+
+    def test_from_dict_accepts_all_ones_amplitude_policy(self):
+        raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6,
+               "snr_grid_db": [25.0], "trials": 64, "master_seed": 7,
+               "amplitude_policy": "all-ones"}
+        assert ScenarioConfig.from_dict(raw) == small_csms_config()
+
+    def test_from_dict_rejects_other_amplitude_policy(self):
+        raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6,
+               "snr_grid_db": [25.0], "amplitude_policy": "tapered"}
+        with pytest.raises(ConfigError, match="amplitude"):
             ScenarioConfig.from_dict(raw)
 
     def test_scenario_points_snr_mode(self):
@@ -150,6 +191,88 @@ class TestRunTrial:
         g_redraw_b, _ = run_trial(redraw, point, 3)
         assert not np.array_equal(g_base, g_redraw_a)
         np.testing.assert_array_equal(g_redraw_a, g_redraw_b)
+
+
+class TestSingleChain:
+    """The scenario runner and ``run_trial`` are one receive chain over one point model."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(scheme="OMA", code_length=64, n_elements=8, snr_grid_db=(15.0,),
+                       trials=30, master_seed=21),
+        small_csms_config(trials=30),
+        small_csms_config(trials=30, phase_policy="per-trial"),
+    ], ids=["OMA", "CSMS", "CSMS-per-trial"])
+    def test_run_trial_reproduces_report_row(self, cfg):
+        point = scenario_points(cfg)[0]
+        errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
+        gain_sq = np.array([g**2 for g, _ in errors])
+        phase_sq = np.array([p**2 for _, p in errors])
+        row = run_scenario(cfg).rows[0]
+        assert row.gain_rmse_sim_db == float(np.sqrt(gain_sq.mean(axis=0)).mean())
+        assert row.phase_rmse_sim_deg == float(np.sqrt(phase_sq.mean(axis=0)).mean())
+
+    def test_per_trial_span_ignores_earlier_trials(self):
+        cfg = small_csms_config(phase_policy="per-trial")
+        point = scenario_points(cfg)[0]
+        fresh = harness._trial_chunk(PointModel.build(cfg, point), 10, 20)
+        model = PointModel.build(cfg, point)
+        phases = model.gains.phases.copy()
+        harness._trial_chunk(model, 0, 10)
+        after = harness._trial_chunk(model, 10, 20)
+        for a, b in zip(fresh, after):
+            np.testing.assert_array_equal(a, b)
+        assert model.signal is None
+        np.testing.assert_array_equal(model.gains.phases, phases)
+
+    def test_model_is_built_once_per_point(self, monkeypatch):
+        built = []
+        original = PointModel.build.__func__
+
+        def counting(cls, cfg, point):
+            built.append(point.index)
+            return original(cls, cfg, point)
+
+        monkeypatch.setattr(PointModel, "build", classmethod(counting))
+        run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8))
+        assert built == [0, 1]
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+        _InProcessPool.created = []
+        return _InProcessPool.created
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        cfg = small_csms_config(trials=64)
+        report = run_scenario(cfg, workers=16)
+        assert fake_pool == [3]
+        assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
+
+    def test_unknown_cpu_count_runs_in_process(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_scenario(small_csms_config(trials=64), workers=4)
+        assert fake_pool == []
 
 
 class TestRunScenario:
