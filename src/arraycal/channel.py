@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import cyclic_shift
 from .errors import DimensionError, OffsetError
 
 # dB form of the Boltzmann constant used by the link budget (configurable
@@ -124,20 +123,17 @@ def csms_clean_stream(code, offsets, gains):
     """Noise-free composite stream: periodic extension of the shifted-code sum.
 
     Length is L + max(offset) so that every element's correlation window
-    fits.  Sample k equals sum_v w_v * shifted_code_v[k mod L].
+    fits.  Sample k equals sum_v w_v * code[(k - offset_v) mod L]: the
+    circular convolution of the code with the gains placed at their offsets.
     """
     code = np.asarray(code)
     length = code.size
     offsets = validate_offsets(offsets, length)
     if len(offsets) != len(gains):
         raise DimensionError(f"{len(offsets)} offsets for {len(gains)} elements")
-    n_out = length + offsets[-1]
-    stream = np.zeros(n_out, dtype=np.complex128)
-    w = gains.w
-    for v, q in enumerate(offsets):
-        shifted = cyclic_shift(code, q)
-        stream += w[v] * np.tile(shifted, 2)[:n_out]
-    return stream
+    placed = np.zeros(length, dtype=np.complex128)
+    placed[offsets] = gains.w
+    return np.resize(np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed)), length + offsets[-1])
 
 
 def synthesize_stream_csms(code, offsets, gains, noise_var, rng):

@@ -1,21 +1,25 @@
 """Monte-Carlo scenario runner, figure-reproduction grids, CSV reports.
 
 Each grid point is built once into an immutable ``PointModel``; it feeds
-one receive chain, in process or pickled to pool workers, and the theory.
+the theory and one receive chain.  A point's trials are cut into fixed
+blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
+batched pass through that chain.  A scenario call runs its (point, block)
+tasks in process or on one pool of at most CPU-count and task-count workers.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  Every trial draws its noise (and, in per-trial phase
 mode, its phases) from a generator seeded by the entropy triple
 ``[master_seed, point_index, 1 + trial_index]``; the per-point channel
-phases come from ``[master_seed, point_index, 0]``.  Trials are
-therefore independent of execution order and worker count, and error
-sums are reduced in fixed trial order.
+phases come from ``[master_seed, point_index, 0]``.  Neither trials nor
+blocks depend on the worker count, and error sums are reduced in fixed
+trial order.
 """
 
 import csv
 import io
 import math
 import os
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +29,7 @@ from . import theory as accuracy
 from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
-from .errors import ConfigError, UnknownFigure
+from .errors import ArrayCalError, ConfigError, UnknownFigure
 from .receiver import (ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate,
                        wrap_degrees, zf_equalize)
 
@@ -34,6 +38,7 @@ PHASE_POLICIES = ("per-point", "per-trial")
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
 STDERR_BATCHES = 25
+BLOCK_TRIALS = 64  # the unit of synthesis, reception and pool distribution
 
 CSV_COLUMNS = [
     "scheme", "V", "L", "ev_n0_db",
@@ -47,8 +52,9 @@ CSV_COLUMNS = [
 class ScenarioConfig:
     """One simulation scenario: a scheme, a code, and a grid of operating points.
 
-    Exactly one of ``snr_grid_db`` (fixed element count, swept SNR) and
-    ``v_grid`` (fixed SNR, swept element count) must be given.
+    Exactly one of ``snr_grid_db`` (with ``n_elements``: fixed element
+    count, swept SNR) and ``v_grid`` (with ``ev_n0_db``: fixed SNR, swept
+    element count) must be given; the other grid's field must be absent.
     """
 
     scheme: str
@@ -67,6 +73,11 @@ class ScenarioConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if (self.snr_grid_db is None) == (self.v_grid is None):
             raise ConfigError("exactly one of snr_grid_db / v_grid must be set")
+        if (self.n_elements is None) != (self.snr_grid_db is None):
+            raise ConfigError("n_elements is required with snr_grid_db and rejected with v_grid")
+        if (self.ev_n0_db is None) != (self.v_grid is None):
+            raise ConfigError("ev_n0_db (or a link budget) is required with v_grid "
+                              "and rejected with snr_grid_db")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.phase_policy not in PHASE_POLICIES:
@@ -75,15 +86,11 @@ class ScenarioConfig:
             object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
             if not self.snr_grid_db:
                 raise ConfigError("snr_grid_db is empty")
-            if self.n_elements is None:
-                raise ConfigError("n_elements is required with snr_grid_db")
             self._check_elements(self.n_elements)
         else:
             object.__setattr__(self, "v_grid", tuple(int(v) for v in self.v_grid))
             if not self.v_grid:
                 raise ConfigError("v_grid is empty")
-            if self.ev_n0_db is None:
-                raise ConfigError("ev_n0_db (or a link budget) is required with v_grid")
             for v in self.v_grid:
                 self._check_elements(v)
         # +inf is valid and means noise-free.
@@ -173,9 +180,9 @@ def rng_stream(master_seed, *key):
 class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
-    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA, Fortran
-    order so that ``code.T`` is contiguous).  ``signal`` is ``_realize`` of
-    ``gains``, or None with per-trial phases: each trial then draws its own.
+    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``signal``
+    is ``_realize`` of ``gains``, or None with per-trial phases: each trial
+    then draws its own.
     """
 
     point: GridPoint
@@ -191,7 +198,7 @@ class PointModel:
         v, l = point.n_elements, point.code_length
         gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
         if point.scheme == "OMA":
-            code, eq = np.asfortranarray(walsh_matrix(l, v)), None
+            code, eq = walsh_matrix(l, v), None
         else:
             code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
         signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains)
@@ -217,38 +224,43 @@ def _realize(point, code, gains):
     return truth_gain_db, truth_phase_deg, clean
 
 
-def _trial_errors(model, trial_index):
-    """One synthesize -> receive -> extract pass; returns (gain, phase) error arrays.
+def _trial_chunk(model, start, stop):
+    """(T, V-1) gain and phase errors of trials start..stop-1, received in one pass.
 
-    Pure in the model and the trial's generator: phases (per-trial mode), then noise.
+    Each trial's generator draws its phases (per-trial mode), then its noise.
     """
     point = model.point
-    rng = rng_stream(model.master_seed, point.index, 1 + trial_index)
-    if model.signal is None:
-        gains = ElementGains.with_random_phases(point.n_elements, rng)
-        truth_gain_db, truth_phase_deg, clean = _realize(point, model.code, gains)
-    else:
-        truth_gain_db, truth_phase_deg, clean = model.signal
-    window = clean + complex_awgn(rng, clean.size, model.noise_var)
+    truths, windows = [], []
+    for t in range(start, stop):
+        rng = rng_stream(model.master_seed, point.index, 1 + t)
+        if model.signal is None:
+            gains = ElementGains.with_random_phases(point.n_elements, rng)
+            *truth, clean = _realize(point, model.code, gains)
+        else:
+            *truth, clean = model.signal
+        truths.append(truth)
+        windows.append(clean + complex_awgn(rng, clean.size, model.noise_var))
     if point.scheme == "OMA":
-        estimates = oma_estimate(model.code, window)
+        estimates = oma_estimate(model.code, np.stack(windows))
     else:
-        peaks = csms_peaks(model.code, range(point.n_elements), window)
+        peaks = csms_peaks(model.code, range(point.n_elements), np.stack(windows))
         estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates)
-    gain_err = report.gain_db - truth_gain_db
-    phase_err = wrap_degrees(report.phase_deg - truth_phase_deg)
-    return gain_err, phase_err
+    truth_gain_db, truth_phase_deg = np.stack(truths, axis=1)
+    return report.gain_db - truth_gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)
+
+
+def _blocks(trials):
+    return [(a, min(a + BLOCK_TRIALS, trials)) for a in range(0, trials, BLOCK_TRIALS)]
 
 
 def run_trial(cfg, point, trial_index):
-    """Public single-trial entry point; the same chain the scenario runner uses."""
-    return _trial_errors(PointModel.build(cfg, point), trial_index)
-
-
-def _trial_chunk(model, start, stop):
-    errors = [_trial_errors(model, t) for t in range(start, stop)]
-    return np.array([g for g, _ in errors])**2, np.array([p for _, p in errors])**2
+    """(gain, phase) errors of one trial, taken from its block as the report takes them."""
+    if not 0 <= trial_index < cfg.trials:
+        raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
+    start, stop = _blocks(cfg.trials)[trial_index // BLOCK_TRIALS]
+    gain_err, phase_err = _trial_chunk(PointModel.build(cfg, point), start, stop)
+    return gain_err[trial_index - start], phase_err[trial_index - start]
 
 
 def _batch_stderr(sq_errors):
@@ -322,20 +334,10 @@ class RmseReport:
         return buf.getvalue()
 
 
-def _run_point(cfg, point, workers):
-    model = PointModel.build(cfg, point)
-    trials = cfg.trials
-    if workers > 1 and trials >= 4 * workers:
-        edges = np.linspace(0, trials, workers * 4 + 1).astype(int)
-        spans = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_trial_chunk, [model] * len(spans),
-                                  [a for a, _ in spans], [b for _, b in spans]))
-        gain_sq = np.concatenate([p[0] for p in parts], axis=0)
-        phase_sq = np.concatenate([p[1] for p in parts], axis=0)
-    else:
-        gain_sq, phase_sq = _trial_chunk(model, 0, trials)
-
+def _row(cfg, model, parts):
+    point = model.point
+    gain_sq = np.concatenate([g for g, _ in parts])**2
+    phase_sq = np.concatenate([p for _, p in parts])**2
     predicted = accuracy.theory_point(model.gains, model.noise_stats())
     return RmseRow(
         scheme=point.scheme,
@@ -356,10 +358,16 @@ def _run_point(cfg, point, workers):
 def run_scenario(cfg, workers=1):
     """Run every grid point of a scenario and report theory next to simulation.
 
-    ``workers`` is capped at ``os.cpu_count()``."""
-    workers = max(1, min(int(workers), os.cpu_count() or 1))
-    rows = [_run_point(cfg, point, workers) for point in scenario_points(cfg)]
-    return RmseReport(rows=tuple(rows))
+    Each (point, trial block) is one task; the tasks run in process or on one
+    pool of ``min(workers, os.cpu_count(), tasks)`` workers."""
+    models = [PointModel.build(cfg, point) for point in scenario_points(cfg)]
+    blocks = _blocks(cfg.trials)
+    tasks = [(model, a, b) for model in models for a, b in blocks]
+    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(_trial_chunk, *zip(*tasks))
+        rows = tuple(_row(cfg, model, [next(parts) for _ in blocks]) for model in models)
+    return RmseReport(rows=rows)
 
 
 FIGURE_NAMES = ("fig5", "fig6", "fig7", "fig8")
@@ -384,18 +392,10 @@ def _v_sweep(code_length):
 
 
 def _fig78_configs(master_seed, trials):
-    def sweep(scheme, code_length, v_grid, default_trials):
-        return ScenarioConfig(scheme=scheme, code_length=code_length, v_grid=v_grid,
-                              ev_n0_db=30.0, trials=trials or default_trials,
-                              master_seed=master_seed)
-
-    vs511 = _v_sweep(511)
-    return [sweep("OMA", 512, (50,), DEFAULT_TRIALS),
-            sweep("CSMS", 127, _v_sweep(127), DEFAULT_TRIALS),
-            sweep("CSMS", 255, _v_sweep(255), DEFAULT_TRIALS),
-            sweep("CSMS", 511, [v for v in vs511 if v <= 204], DEFAULT_TRIALS),
-            sweep("CSMS", 511, [v for v in vs511 if 204 < v <= 408], 3_000),
-            sweep("CSMS", 511, [v for v in vs511 if v > 408], 1_000)]
+    layout = [("OMA", 512, (50,))] + [("CSMS", l, _v_sweep(l)) for l in (127, 255, 511)]
+    return [ScenarioConfig(scheme=s, code_length=l, v_grid=vs, ev_n0_db=30.0,
+                           trials=trials or DEFAULT_TRIALS, master_seed=master_seed)
+            for s, l, vs in layout]
 
 
 def figure_configs(name, master_seed=DEFAULT_SEED, trials=None):

@@ -10,35 +10,37 @@ from .errors import DimensionError, ReferenceZero, SingularError
 
 
 def oma_estimate(code_matrix, window):
-    """Per-element gain estimates from one receive window of orthogonal codes.
+    """Per-element gain estimates from one (L,) window or a (..., L) batch.
 
     With orthonormal columns the correlation peaks C.T @ window are
     already unbiased gain estimates; no equalizer is needed.
     """
     code_matrix = np.asarray(code_matrix)
     window = np.asarray(window)
-    if window.ndim != 1 or window.size != code_matrix.shape[0]:
-        raise DimensionError(
-            f"window length {window.size} != code length {code_matrix.shape[0]}")
-    return code_matrix.T @ window
+    if window.shape[-1:] != code_matrix.shape[:1]:
+        raise DimensionError(f"window shape {window.shape} != (..., {code_matrix.shape[0]})")
+    return window @ code_matrix
 
 
 def csms_peaks(code, offsets, stream):
     """Single-filter correlation peaks recorded at the per-element epochs.
 
     peak[v] = sum_k code[k] * stream[k + offsets[v]]: one matched filter
-    output, read offsets[v] samples after the first element's peak.
+    output, read offsets[v] samples after the first element's peak, as an
+    FFT cross-correlation over the last axis of a (..., n) stream batch.
+    Its length, a power of two >= n >= L + max(offset), keeps lags unwrapped.
     """
     code = np.asarray(code)
     stream = np.asarray(stream)
     length = code.size
     offsets = validate_offsets(offsets, length)
-    if stream.size < length + offsets[-1]:
+    if stream.ndim == 0 or stream.shape[-1] < length + offsets[-1]:
         raise DimensionError(
-            f"stream of {stream.size} samples too short for code length {length} "
+            f"stream of shape {stream.shape} too short for code length {length} "
             f"with largest offset {offsets[-1]}")
-    windows = np.lib.stride_tricks.sliding_window_view(stream, length)[offsets]
-    return windows @ code
+    n_fft = 1 << (stream.shape[-1] - 1).bit_length()
+    spectrum = np.fft.fft(stream, n_fft) * np.conj(np.fft.fft(code, n_fft))
+    return np.fft.ifft(spectrum)[..., offsets]
 
 
 def build_correlation_matrix(code, offsets):
@@ -96,12 +98,12 @@ def zf_equalize(peaks, eq):
     """Cancel inter-element interference: equivalent to inverse-matrix times peaks.
 
     Uses the two-coefficient structure directly: out_v = cross * sum(peaks)
-    + (diag - cross) * peak_v.
+    + (diag - cross) * peak_v, over the last axis of a (..., V) batch.
     """
     peaks = np.asarray(peaks)
-    if peaks.shape != (eq.n_elements,):
+    if peaks.shape[-1:] != (eq.n_elements,):
         raise DimensionError(f"expected {eq.n_elements} peaks, got shape {peaks.shape}")
-    total = peaks.sum()
+    total = peaks.sum(axis=-1, keepdims=True)
     return eq.cross_coeff * total + (eq.diag_coeff - eq.cross_coeff) * peaks
 
 
@@ -119,21 +121,22 @@ class MismatchReport:
     phase_deg: np.ndarray
 
     def __len__(self):
-        return self.gain_db.size
+        return self.gain_db.shape[-1]
 
 
 def extract_mismatch(estimates):
     """Relative mismatch of every element against the first (reference) element.
 
     Invariant under any global complex scaling of the estimate vector.
+    Element 0 of the last axis of a (V,) or (..., V) input is the reference.
     """
     estimates = np.asarray(estimates)
-    if estimates.size < 2:
+    if estimates.ndim == 0 or estimates.shape[-1] < 2:
         raise DimensionError("need at least two elements to form a mismatch")
-    ref = estimates[0]
-    if ref == 0:
+    ref = estimates[..., :1]
+    if np.any(ref == 0):
         raise ReferenceZero("reference element estimate is zero")
     return MismatchReport(
-        gain_db=20.0 * np.log10(np.abs(estimates[1:]) / np.abs(ref)),
-        phase_deg=wrap_degrees(np.degrees(np.angle(estimates[1:]) - np.angle(ref))),
+        gain_db=20.0 * np.log10(np.abs(estimates[..., 1:]) / np.abs(ref)),
+        phase_deg=wrap_degrees(np.degrees(np.angle(estimates[..., 1:]) - np.angle(ref))),
     )

@@ -132,6 +132,16 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("overrides", [
+        {"snr_grid_db": None, "v_grid": [4, 8], "ev_n0_db": 25.0},
+        {"ev_n0_db": 25.0},
+    ], ids=["n_elements+v_grid", "ev_n0_db+snr_grid_db"])
+    def test_simulate_field_of_other_grid_reports_error(self, capsys, tmp_path, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_workers_byte_identical_small(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, trials=32)
         outputs = []

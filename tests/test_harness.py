@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arraycal import harness
-from arraycal.errors import ConfigError, UnknownFigure
+from arraycal.errors import ArrayCalError, ConfigError, UnknownFigure
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
@@ -78,6 +78,26 @@ class TestScenarioConfig:
                                "ts_seconds": 1.0}}
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    def test_n_elements_rejected_with_v_grid(self):
+        with pytest.raises(ConfigError, match="n_elements"):
+            ScenarioConfig(scheme="OMA", code_length=64, n_elements=999, v_grid=(4,),
+                           ev_n0_db=10.0)
+
+    def test_ev_n0_rejected_with_snr_grid(self):
+        with pytest.raises(ConfigError, match="ev_n0_db"):
+            small_csms_config(ev_n0_db=10.0)
+
+    @pytest.mark.parametrize("extra", [
+        {"v_grid": [4], "ev_n0_db": 10.0, "n_elements": 4},
+        {"snr_grid_db": [10.0], "n_elements": 4, "ev_n0_db": 10.0},
+        {"snr_grid_db": [10.0], "n_elements": 4,
+         "link_budget": {"eirp_dbw": 10.0, "path_loss_db": 200.0,
+                         "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}},
+    ], ids=["n_elements+v_grid", "ev_n0_db+snr_grid_db", "link_budget+snr_grid_db"])
+    def test_from_dict_rejects_field_of_other_grid(self, extra):
+        with pytest.raises(ConfigError):
+            ScenarioConfig.from_dict({"scheme": "OMA", "code_length": 64, **extra})
 
     @pytest.mark.parametrize("snr", [math.nan, -math.inf])
     def test_non_finite_snr_grid_rejected(self, snr):
@@ -182,6 +202,12 @@ class TestRunTrial:
         assert gain_err[0] == pytest.approx(exp_gain, abs=1e-12)
         assert phase_err[0] == pytest.approx(exp_phase, abs=1e-12)
 
+    @pytest.mark.parametrize("trial_index", [-1, 64])
+    def test_trial_index_outside_scenario_rejected(self, trial_index):
+        cfg = small_csms_config(trials=64)
+        with pytest.raises(ArrayCalError, match="trial index"):
+            run_trial(cfg, scenario_points(cfg)[0], trial_index)
+
     def test_per_trial_phase_policy_redraws(self):
         base = small_csms_config()
         redraw = small_csms_config(phase_policy="per-trial")
@@ -264,10 +290,24 @@ class TestWorkerCap:
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        cfg = small_csms_config(trials=64)
+        cfg = small_csms_config(trials=3 * harness.BLOCK_TRIALS)
         report = run_scenario(cfg, workers=16)
         assert fake_pool == [3]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
+
+    @pytest.mark.parametrize("workers, expected", [(16, 6), (2, 2)])
+    def test_one_pool_per_scenario_call(self, monkeypatch, fake_pool, workers, expected):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        # 3 points x 2 blocks = 6 tasks.
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
+                                trials=harness.BLOCK_TRIALS + 1)
+        run_scenario(cfg, workers=workers)
+        assert fake_pool == [expected]
+
+    def test_single_task_runs_in_process(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        run_scenario(small_csms_config(trials=harness.BLOCK_TRIALS), workers=4)
+        assert fake_pool == []
 
     def test_unknown_cpu_count_runs_in_process(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
@@ -302,6 +342,13 @@ class TestRunScenario:
         serial = run_scenario(cfg, workers=1).to_csv_text()
         parallel = run_scenario(cfg, workers=2).to_csv_text()
         assert serial == parallel
+
+    @pytest.mark.parametrize("phase_policy", harness.PHASE_POLICIES)
+    def test_workers_do_not_change_report_across_blocks(self, phase_policy):
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), phase_policy=phase_policy,
+                                trials=2 * harness.BLOCK_TRIALS + 3)
+        assert run_scenario(cfg, workers=1).to_csv_text() == \
+            run_scenario(cfg, workers=2).to_csv_text()
 
     def test_rerun_is_byte_identical(self):
         cfg = small_csms_config()
@@ -406,6 +453,7 @@ class TestFigures:
             assert max(vs) == length
             assert min(vs) == int(0.2 * length)
         assert 500 in swept[511]
+        assert all(cfg.trials == harness.DEFAULT_TRIALS for cfg in configs)
         assert figure_configs("fig8") == configs
 
     def test_reproduce_smoke(self):

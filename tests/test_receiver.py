@@ -27,6 +27,10 @@ class TestOmaEstimate:
             oma_estimate(walsh_matrix(4, 2), np.zeros(3, dtype=complex))
 
 
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 class TestCsmsPeaks:
     def test_single_element_unit_peak(self):
         code = msequence_code(7)
@@ -50,6 +54,15 @@ class TestCsmsPeaks:
         code = msequence_code(7)
         with pytest.raises(DimensionError):
             csms_peaks(code, [0, 1], np.zeros(7, dtype=complex))
+
+    @pytest.mark.parametrize("length, offsets", [(31, [0, 3, 11, 19, 30]),
+                                                 (511, list(range(511)))],
+                             ids=["sparse", "L=V=511"])
+    def test_equals_direct_sum(self, length, offsets):
+        code = msequence_code(length)
+        stream = complex_normal(np.random.default_rng(31), length + offsets[-1] + 3)
+        direct = [code @ stream[q:q + length] for q in offsets]
+        np.testing.assert_allclose(csms_peaks(code, offsets, stream), direct, rtol=0, atol=1e-13)
 
     def test_linearity(self):
         code = msequence_code(15)
@@ -217,3 +230,50 @@ class TestNoiseFreeEndToEnd:
         truth = extract_mismatch(gains.w)
         np.testing.assert_allclose(report.gain_db, truth.gain_db, atol=1e-9)
         np.testing.assert_allclose(report.phase_deg, truth.phase_deg, atol=1e-9)
+
+
+class TestBatchAxes:
+    """A (T, ...) batch gives the stacked single-window results."""
+
+    def assert_rows_match(self, batched, single_calls):
+        np.testing.assert_allclose(batched, np.stack(single_calls), rtol=0, atol=1e-13)
+
+    def test_oma_estimate(self):
+        c = walsh_matrix(64, 50)
+        windows = complex_normal(np.random.default_rng(40), 5, 64)
+        self.assert_rows_match(oma_estimate(c, windows), [oma_estimate(c, w) for w in windows])
+
+    def test_csms_peaks(self):
+        code = msequence_code(63)
+        streams = complex_normal(np.random.default_rng(41), 5, 63 + 49)
+        self.assert_rows_match(csms_peaks(code, range(50), streams),
+                               [csms_peaks(code, range(50), s) for s in streams])
+
+    def test_zf_equalize(self):
+        eq = ZfEqualizer.for_dimensions(63, 50)
+        peaks = complex_normal(np.random.default_rng(42), 5, 50)
+        self.assert_rows_match(zf_equalize(peaks, eq), [zf_equalize(p, eq) for p in peaks])
+
+    def test_extract_mismatch(self):
+        estimates = complex_normal(np.random.default_rng(43), 5, 50)
+        report = extract_mismatch(estimates)
+        singles = [extract_mismatch(e) for e in estimates]
+        self.assert_rows_match(report.gain_db, [r.gain_db for r in singles])
+        self.assert_rows_match(report.phase_deg, [r.phase_deg for r in singles])
+        assert len(report) == 49
+
+    def test_zero_reference_anywhere_in_batch_rejected(self):
+        estimates = np.ones((3, 4), dtype=complex)
+        estimates[2, 0] = 0.0
+        with pytest.raises(ReferenceZero):
+            extract_mismatch(estimates)
+
+    def test_last_axis_checked(self):
+        with pytest.raises(DimensionError):
+            oma_estimate(walsh_matrix(4, 2), np.zeros((3, 3), dtype=complex))
+        with pytest.raises(DimensionError):
+            csms_peaks(msequence_code(7), [0, 1], np.zeros((3, 7), dtype=complex))
+        with pytest.raises(DimensionError):
+            zf_equalize(np.zeros((3, 4), dtype=complex), ZfEqualizer.for_dimensions(7, 3))
+        with pytest.raises(DimensionError):
+            extract_mismatch(np.ones((3, 1), dtype=complex))
