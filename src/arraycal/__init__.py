@@ -20,11 +20,10 @@ from .errors import (ArrayCalError, ConfigError, DimensionError, NegativeRadican
                      UnknownFigure)
 from .harness import (RmseReport, RmseRow, ScenarioConfig, reproduce_figure,
                       run_scenario, run_trial, scenario_points)
-from .receiver import (MismatchReport, ZfEqualizer, build_correlation_matrix, csms_peaks,
-                       extract_mismatch, oma_estimate, wrap_degrees, zf_equalize)
+from .receiver import (MismatchReport, ZfEqualizer, csms_peaks, extract_mismatch,
+                       oma_estimate, wrap_degrees, zf_equalize)
 from .theory import (NoiseStats, TheoryPoint, average_rmse, closed_form_point,
                      csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
                      oma_noise_stats, phase_rmse_theory, theory_point)
-from .waveform import OversampledWaveform, chip_matched_filter_and_sample, synthesize_baseband
 
 __version__ = "0.1.0"

@@ -37,10 +37,10 @@ class ElementGains:
         return self.amplitudes * np.exp(1j * self.phases)
 
     @classmethod
-    def with_random_phases(cls, n_elements, rng, amplitude=1.0):
-        """Equal-power gains with phases drawn uniformly from [0, 2*pi)."""
+    def with_random_phases(cls, n_elements, rng):
+        """Unit-amplitude gains with phases drawn uniformly from [0, 2*pi)."""
         return cls(
-            amplitudes=np.full(n_elements, float(amplitude)),
+            amplitudes=np.ones(n_elements),
             phases=rng.uniform(0.0, 2.0 * np.pi, n_elements),
         )
 

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import periodic_autocorrelation
 from .channel import validate_offsets
 from .errors import DimensionError, ReferenceZero, SingularError
 
@@ -43,21 +42,6 @@ def csms_peaks(code, offsets, stream):
     return np.fft.ifft(spectrum)[..., offsets]
 
 
-def build_correlation_matrix(code, offsets):
-    """Cross-correlation matrix of the shifted codes at the peak epochs.
-
-    Entry (y, z) is the periodic autocorrelation of the code at lag
-    offsets[z] - offsets[y].  For an m-sequence this is 1 on the diagonal
-    and -1/L everywhere else, independent of the offsets chosen.
-    """
-    code = np.asarray(code)
-    offsets = validate_offsets(offsets, code.size)
-    lags = np.array([periodic_autocorrelation(code, lag) for lag in range(code.size)])
-    diffs = np.subtract.outer(offsets, offsets) % code.size
-    # autocorrelation is symmetric in the lag, so (z - y) and (y - z) agree
-    return lags[diffs]
-
-
 @dataclass(frozen=True)
 class ZfEqualizer:
     """Two-coefficient inverse of the m-sequence peak correlation matrix.
@@ -87,11 +71,6 @@ class ZfEqualizer:
             cross_coeff=l / denom,
             diag_coeff=l * (l - v + 2) / denom,
         )
-
-    def as_matrix(self):
-        v = self.n_elements
-        return (self.diag_coeff - self.cross_coeff) * np.eye(v) \
-            + self.cross_coeff * np.ones((v, v))
 
 
 def zf_equalize(peaks, eq):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import aperiodic_autocorrelation
-from .errors import DimensionError, NegativeRadicand, OffsetError
+from .errors import DimensionError, NegativeRadicand
 
 DB_PER_NEPER = 10.0 / np.log(10.0)
 DEG_PER_RAD = 180.0 / np.pi
@@ -84,20 +84,17 @@ def oma_noise_stats(noise_var, n_elements):
     )
 
 
-def csms_peak_noise_cov(code, n_elements, noise_var, offsets=None):
-    """Covariance of the raw correlation-peak noise for consecutive offsets.
+def csms_peak_noise_cov(code, n_elements, noise_var):
+    """Covariance of the raw correlation-peak noise at offsets 0, 1, ..., V-1.
 
     Adjacent peak windows share all but one sample of the noise stream,
     so entry (y, z) is noise_var times the code's aperiodic
-    autocorrelation at lag |z - y|.  Only consecutive offsets
-    (0, 1, ..., V-1) are supported; anything else raises ``OffsetError``
-    because the window-overlap bookkeeping assumes unit spacing.
+    autocorrelation at lag |z - y|.  The window-overlap bookkeeping
+    assumes these consecutive offsets, the only ones the harness uses.
     """
     code = np.asarray(code)
     if n_elements > code.size:
         raise DimensionError(f"{n_elements} elements exceed code length {code.size}")
-    if offsets is not None and list(offsets) != list(range(n_elements)):
-        raise OffsetError("peak-noise covariance requires consecutive offsets 0..V-1")
     lags = np.array([aperiodic_autocorrelation(code, k) for k in range(n_elements)])
     idx = np.abs(np.subtract.outer(np.arange(n_elements), np.arange(n_elements)))
     return float(noise_var) * lags[idx]
@@ -106,21 +103,30 @@ def csms_peak_noise_cov(code, n_elements, noise_var, offsets=None):
 def csms_gain_noise_stats(eq, peak_cov):
     """Error statistics after the equalizer: variances and reference correlations.
 
-    Propagates the peak-noise covariance through the structured inverse
-    on both sides; the diagonal gives each element's error variance and
-    the first column gives the correlation with the reference element.
+    The equalizer's inverse is c*11^T + d*I, with c = ``cross_coeff`` and
+    d = ``diag_coeff - cross_coeff``, so the propagated covariance
+    inv @ P @ inv needs only the row sums r, column sums k and total s
+    of the peak covariance P:
+
+        var_v     = d^2 P_vv + d c (r_v + k_v) + c^2 s
+        cov(v, 1) = d^2 P_v1 + d c (r_v + k_1) + c^2 s
+
+    Reductions and elementwise arithmetic only, with no matrix product,
+    so the result does not depend on the BLAS or its thread count.
     """
     peak_cov = np.asarray(peak_cov)
     v = eq.n_elements
     if peak_cov.shape != (v, v):
         raise DimensionError(f"covariance shape {peak_cov.shape} != ({v}, {v})")
-    inv = eq.as_matrix()
-    cov = inv @ peak_cov @ inv
-    variances = np.diag(cov).copy()
-    if v == 1:
-        return NoiseStats(variances=variances, correlations=np.zeros(0))
+    c = eq.cross_coeff
+    d = eq.diag_coeff - eq.cross_coeff
+    rows = peak_cov.sum(axis=1)
+    cols = peak_cov.sum(axis=0)
+    shared = c * c * rows.sum()
+    variances = d * d * np.diagonal(peak_cov) + d * c * (rows + cols) + shared
+    ref_cov = d * d * peak_cov[1:, 0] + d * c * (rows[1:] + cols[0]) + shared
     scale = np.sqrt(variances[1:] * variances[0])
-    correlations = np.divide(cov[1:, 0], scale, out=np.zeros(v - 1), where=scale > 0)
+    correlations = np.divide(ref_cov, scale, out=np.zeros(v - 1), where=scale > 0)
     return NoiseStats(variances=variances, correlations=correlations)
 
 

@@ -4,9 +4,9 @@ import pytest
 from arraycal.channel import ElementGains, synthesize_stream_csms, synthesize_window_oma
 from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matrix
 from arraycal.errors import DimensionError, ReferenceZero, SingularError
-from arraycal.receiver import (MismatchReport, ZfEqualizer, build_correlation_matrix,
-                               csms_peaks, extract_mismatch, oma_estimate, wrap_degrees,
-                               zf_equalize)
+from arraycal.receiver import (MismatchReport, ZfEqualizer, csms_peaks, extract_mismatch,
+                               oma_estimate, wrap_degrees, zf_equalize)
+from oracles import build_correlation_matrix, zf_inverse_matrix
 
 
 class TestOmaEstimate:
@@ -109,7 +109,7 @@ class TestZfEqualizer:
         code = msequence_code(7)
         m = build_correlation_matrix(code, [0, 1, 2])
         eq = ZfEqualizer.for_dimensions(7, 3)
-        np.testing.assert_allclose(m @ eq.as_matrix(), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(m @ zf_inverse_matrix(eq), np.eye(3), atol=1e-12)
 
     @pytest.mark.parametrize("length", [7, 63, 127])
     def test_structured_inverse_matches_numerical(self, length):
@@ -119,13 +119,14 @@ class TestZfEqualizer:
         for count in range(2, length):
             m = build_correlation_matrix(code, list(range(count)))
             eq = ZfEqualizer.for_dimensions(length, count)
-            np.testing.assert_allclose(eq.as_matrix(), np.linalg.inv(m), atol=1e-9)
+            np.testing.assert_allclose(zf_inverse_matrix(eq), np.linalg.inv(m), atol=1e-9)
 
     def test_equalize_matches_matrix_application(self):
         rng = np.random.default_rng(6)
         peaks = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         eq = ZfEqualizer.for_dimensions(63, 10)
-        np.testing.assert_allclose(zf_equalize(peaks, eq), eq.as_matrix() @ peaks, atol=1e-12)
+        np.testing.assert_allclose(zf_equalize(peaks, eq), zf_inverse_matrix(eq) @ peaks,
+                                   atol=1e-12)
 
     def test_noise_free_round_trip(self):
         code = msequence_code(7)
@@ -142,7 +143,7 @@ class TestZfEqualizer:
         eq = ZfEqualizer.for_dimensions(7, 7)
         code = msequence_code(7)
         m = build_correlation_matrix(code, list(range(7)))
-        np.testing.assert_allclose(m @ eq.as_matrix(), np.eye(7), atol=1e-9)
+        np.testing.assert_allclose(m @ zf_inverse_matrix(eq), np.eye(7), atol=1e-9)
 
     def test_peak_count_checked(self):
         eq = ZfEqualizer.for_dimensions(7, 3)

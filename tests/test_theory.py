@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import exp1
 
+import arraycal
 from arraycal.channel import ElementGains, complex_awgn
 from arraycal.codes import aperiodic_autocorrelation, msequence_code
-from arraycal.errors import DimensionError, NegativeRadicand, OffsetError
+from arraycal.errors import DimensionError, NegativeRadicand
 from arraycal.receiver import ZfEqualizer, csms_peaks, wrap_degrees
 from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
                              log_ratio_moments, oma_noise_stats, phase_rmse_theory,
                              theory_point)
+from oracles import dense_gain_noise_cov
 
 
 class TestOmaNoiseStats:
@@ -59,29 +65,45 @@ class TestCsmsPeakNoiseCov:
         # entries are averages of n_streams products: se ~ noise_var/sqrt(n)
         assert np.max(np.abs(empirical - predicted)) < 3 * noise_var / np.sqrt(n_streams) * 1.5
 
-    def test_non_consecutive_offsets_refused(self):
-        with pytest.raises(OffsetError):
-            csms_peak_noise_cov(msequence_code(7), 3, 1.0, offsets=[0, 2, 4])
-
-    def test_consecutive_offsets_accepted(self):
-        cov = csms_peak_noise_cov(msequence_code(7), 3, 1.0, offsets=[0, 1, 2])
-        assert cov.shape == (3, 3)
-
     def test_too_many_elements(self):
         with pytest.raises(DimensionError):
             csms_peak_noise_cov(msequence_code(7), 8, 1.0)
+
+
+# (L, V) of fig5 and fig7 points, from mild to full code occupancy
+DENSE_ORACLE_SIZES = [(63, 50), (127, 120), (511, 408), (511, 511)]
+
+# Theory of fig7's L=511, V=408 and V=500 points, written out as raw bytes.
+THEORY_BYTES_SCRIPT = """
+import sys
+from arraycal.harness import PointModel, figure_configs, scenario_points
+from arraycal.theory import theory_point
+
+cfg = next(c for c in figure_configs("fig7") if c.scheme == "CSMS" and c.code_length == 511)
+points = [p for p in scenario_points(cfg) if p.n_elements in (408, 500)]
+assert len(points) == 2
+for point in points:
+    model = PointModel.build(cfg, point)
+    stats = model.noise_stats()
+    predicted = theory_point(model.gains, stats)
+    for values in (stats.variances, stats.correlations,
+                   predicted.gain_rmse_db, predicted.phase_rmse_deg):
+        sys.stdout.write(values.tobytes().hex() + "\\n")
+"""
 
 
 class TestCsmsGainNoiseStats:
     def test_white_input_amplified(self):
         # Hypothetical white peak noise: output covariance is the squared
         # inverse, with diagonal above the input variance (noise enlargement).
-        eq = ZfEqualizer.for_dimensions(63, 50)
         noise_var = 1e-3
-        stats = csms_gain_noise_stats(eq, noise_var * np.eye(50))
-        expected = noise_var * (eq.as_matrix() @ eq.as_matrix())
-        np.testing.assert_allclose(stats.variances, np.diag(expected), rtol=1e-12)
-        assert np.all(stats.variances > noise_var)
+        for length, count in DENSE_ORACLE_SIZES:
+            eq = ZfEqualizer.for_dimensions(length, count)
+            white = noise_var * np.eye(count)
+            stats = csms_gain_noise_stats(eq, white)
+            expected = dense_gain_noise_cov(eq, white)
+            np.testing.assert_allclose(stats.variances, np.diag(expected), rtol=1e-12)
+            assert np.all(stats.variances > noise_var)
 
     def test_single_element_passthrough(self):
         eq = ZfEqualizer.for_dimensions(63, 1)
@@ -97,18 +119,38 @@ class TestCsmsGainNoiseStats:
             assert np.all(stats.variances > 0)
 
     def test_output_covariance_is_valid(self):
-        code = msequence_code(63)
-        eq = ZfEqualizer.for_dimensions(63, 30)
-        cov_in = csms_peak_noise_cov(code, 30, 1e-3)
-        inv = eq.as_matrix()
-        cov_out = inv @ cov_in @ inv
-        np.testing.assert_allclose(cov_out, cov_out.T, atol=1e-15)
-        assert np.min(np.linalg.eigvalsh(cov_out)) > -1e-12
+        # The dense product inv @ P @ inv is a valid covariance, and the
+        # structured propagation reads its diagonal and first column.
+        for length, count in [(63, 30)] + DENSE_ORACLE_SIZES:
+            eq = ZfEqualizer.for_dimensions(length, count)
+            cov_in = csms_peak_noise_cov(msequence_code(length), count, 1e-3)
+            cov_out = dense_gain_noise_cov(eq, cov_in)
+            np.testing.assert_allclose(cov_out, cov_out.T, atol=1e-15)
+            assert np.min(np.linalg.eigvalsh(cov_out)) > -1e-12
+            variances = np.diag(cov_out)
+            stats = csms_gain_noise_stats(eq, cov_in)
+            np.testing.assert_allclose(stats.variances, variances, rtol=1e-12)
+            np.testing.assert_allclose(
+                stats.correlations, cov_out[1:, 0] / np.sqrt(variances[1:] * variances[0]),
+                rtol=0, atol=1e-12)
 
     def test_shape_checked(self):
         eq = ZfEqualizer.for_dimensions(63, 3)
         with pytest.raises(DimensionError):
             csms_gain_noise_stats(eq, np.eye(4))
+
+    def test_bytes_independent_of_blas_threads(self):
+        # The BLAS thread count is set only in the environment of the children.
+        src = os.path.dirname(os.path.dirname(arraycal.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            child = subprocess.run([sys.executable, "-c", THEORY_BYTES_SCRIPT], env=env,
+                                   capture_output=True, text=True, timeout=120, check=True)
+            outputs.append(child.stdout)
+        assert outputs[0].count("\n") == 8
+        assert outputs[0] == outputs[1]
 
 
 def mc_gain_phase_rmse(amp, phases, cov, trials, seed):

