@@ -83,17 +83,18 @@ def noise_var_from_snr(ev_n0_db, amplitude):
     return amplitude**2 / 10.0 ** (ev_n0_db / 10.0)
 
 
-def complex_awgn(rng, n, noise_var):
-    """n draws of circularly-symmetric complex Gaussian noise, E|x|^2 = noise_var.
+def complex_awgn(rng, shape, noise_var):
+    """Circularly-symmetric complex Gaussian noise of ``shape``, E|x|^2 = noise_var.
 
-    Draw order is part of the reproducibility contract: n standard
-    normals for the real parts, then n for the imaginary parts, each
-    scaled by sqrt(noise_var / 2).
+    ``shape`` is an int n or a tuple such as (T, n).  Draw order is part of
+    the reproducibility contract: one block of standard normals of
+    ``shape`` (C order) for the real parts, then one for the imaginary
+    parts, each scaled by sqrt(noise_var / 2).
     """
     if noise_var < 0:
         raise DimensionError("noise variance must be nonnegative")
     scale = np.sqrt(noise_var / 2.0)
-    return scale * rng.standard_normal(n) + 1j * scale * rng.standard_normal(n)
+    return scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
 
 
 def synthesize_window_oma(code_matrix, gains, noise_var, rng):
@@ -119,21 +120,25 @@ def validate_offsets(offsets, length):
     return offsets
 
 
-def csms_clean_stream(code, offsets, gains):
-    """Noise-free composite stream: periodic extension of the shifted-code sum.
+def csms_clean_stream(code, offsets, weights):
+    """Noise-free composite streams: periodic extension of the shifted-code sum.
 
-    Length is L + max(offset) so that every element's correlation window
-    fits.  Sample k equals sum_v w_v * code[(k - offset_v) mod L]: the
-    circular convolution of the code with the gains placed at their offsets.
+    ``weights`` are complex element gains w_v on the last axis, with any
+    leading batch axes; each row gives one stream of length L + max(offset),
+    so that every element's correlation window fits.  Sample k equals
+    sum_v w_v * code[(k - offset_v) mod L]: the circular convolution of the
+    code with the gains placed at their offsets.
     """
     code = np.asarray(code)
+    weights = np.asarray(weights)
     length = code.size
     offsets = validate_offsets(offsets, length)
-    if len(offsets) != len(gains):
-        raise DimensionError(f"{len(offsets)} offsets for {len(gains)} elements")
-    placed = np.zeros(length, dtype=np.complex128)
-    placed[offsets] = gains.w
-    return np.resize(np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed)), length + offsets[-1])
+    if len(offsets) != weights.shape[-1]:
+        raise DimensionError(f"{len(offsets)} offsets for {weights.shape[-1]} elements")
+    placed = np.zeros(weights.shape[:-1] + (length,), dtype=np.complex128)
+    placed[..., offsets] = weights
+    stream = np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed))
+    return np.concatenate((stream, stream[..., :offsets[-1]]), axis=-1)
 
 
 def synthesize_stream_csms(code, offsets, gains, noise_var, rng):
@@ -143,5 +148,5 @@ def synthesize_stream_csms(code, offsets, gains, noise_var, rng):
     correlation windows induces the inter-peak noise correlation that
     the accuracy theory accounts for.
     """
-    clean = csms_clean_stream(code, offsets, gains)
+    clean = csms_clean_stream(code, offsets, gains.w)
     return clean + complex_awgn(rng, clean.size, noise_var)

@@ -7,12 +7,17 @@ batched pass through that chain.  A scenario call runs its (point, block)
 tasks in process or on one pool of at most CPU-count and task-count workers.
 
 Determinism contract: a report is a pure function of the scenario
-configuration.  Every trial draws its noise (and, in per-trial phase
-mode, its phases) from a generator seeded by the entropy triple
-``[master_seed, point_index, 1 + trial_index]``; the per-point channel
-phases come from ``[master_seed, point_index, 0]``.  Neither trials nor
-blocks depend on the worker count, and error sums are reduced in fixed
-trial order.
+configuration.  The per-point channel phases come from a generator seeded
+by the entropy triple ``[master_seed, point_index, 0]``.  Block b (trials
+``b * BLOCK_TRIALS`` up to the next block or the last trial, T of them)
+draws from one generator seeded by ``[master_seed, point_index, 1 + b]``:
+in per-trial phase mode first the block's (T, V) phases, uniform on
+[0, 2 pi), row t for trial ``b * BLOCK_TRIALS + t``; then its (T, n)
+noise, all T x n real parts before all T x n imaginary parts.  Block size
+is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
+bytes, and so does the trial count whenever it changes the size of the
+last, partial block.  Neither trials nor blocks depend on the worker
+count, and error sums are reduced in fixed trial order.
 """
 
 import csv
@@ -38,7 +43,7 @@ PHASE_POLICIES = ("per-point", "per-trial")
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
 STDERR_BATCHES = 25
-BLOCK_TRIALS = 64  # the unit of synthesis, reception and pool distribution
+BLOCK_TRIALS = 64  # the unit of randomness, synthesis, reception and pool distribution
 
 CSV_COLUMNS = [
     "scheme", "V", "L", "ev_n0_db",
@@ -181,12 +186,13 @@ class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
     ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``signal``
-    is ``_realize`` of ``gains``, or None with per-trial phases: each trial
-    then draws its own.
+    is ``_realize`` of the gains' phases, or None with per-trial phases:
+    each trial block then draws its own.
     """
 
     point: GridPoint
     master_seed: int
+    trials: int
     noise_var: float
     gains: ElementGains
     code: np.ndarray
@@ -201,8 +207,8 @@ class PointModel:
             code, eq = walsh_matrix(l, v), None
         else:
             code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
-        signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains)
-        return cls(point, cfg.master_seed, noise_var_from_snr(point.ev_n0_db, 1.0),
+        signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains.phases)
+        return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
                    gains, code, eq, signal)
 
     def noise_stats(self):
@@ -213,54 +219,54 @@ class PointModel:
         return accuracy.csms_gain_noise_stats(self.eq, cov)
 
 
-def _realize(point, code, gains):
-    """Truth (gain dB, phase deg) and noise-free receive signal for one set of gains."""
-    truth_gain_db = 20.0 * np.log10(gains.amplitudes[1:] / gains.amplitudes[0])
-    truth_phase_deg = np.degrees(gains.phases[1:] - gains.phases[0])
+def _realize(point, code, phases):
+    """Truth (gain dB, phase deg) and noise-free receive signal of unit-amplitude gains.
+
+    ``phases`` is (V,) or a block of (T, V); the outputs carry the same
+    leading axes.
+    """
+    w = np.exp(1j * phases)
+    truth_phase_deg = np.degrees(phases[..., 1:] - phases[..., :1])
+    truth_gain_db = np.zeros_like(truth_phase_deg)
     if point.scheme == "OMA":
-        clean = code @ gains.w
+        clean = w @ code.T
     else:
-        clean = csms_clean_stream(code, range(point.n_elements), gains)
+        clean = csms_clean_stream(code, range(point.n_elements), w)
     return truth_gain_db, truth_phase_deg, clean
 
 
-def _trial_chunk(model, start, stop):
-    """(T, V-1) gain and phase errors of trials start..stop-1, received in one pass.
+def _trial_chunk(model, block):
+    """(T, V-1) gain and phase errors of one trial block, received in one pass.
 
-    Each trial's generator draws its phases (per-trial mode), then its noise.
+    One generator, ``[master_seed, point_index, 1 + block]``, draws the
+    block's (T, V) phases (per-trial mode), then its (T, n) noise in one
+    ``complex_awgn`` call.
     """
     point = model.point
-    truths, windows = [], []
-    for t in range(start, stop):
-        rng = rng_stream(model.master_seed, point.index, 1 + t)
-        if model.signal is None:
-            gains = ElementGains.with_random_phases(point.n_elements, rng)
-            *truth, clean = _realize(point, model.code, gains)
-        else:
-            *truth, clean = model.signal
-        truths.append(truth)
-        windows.append(clean + complex_awgn(rng, clean.size, model.noise_var))
-    if point.scheme == "OMA":
-        estimates = oma_estimate(model.code, np.stack(windows))
+    size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
+    rng = rng_stream(model.master_seed, point.index, 1 + block)
+    if model.signal is None:
+        phases = rng.uniform(0.0, 2.0 * np.pi, (size, point.n_elements))
+        truth_gain_db, truth_phase_deg, clean = _realize(point, model.code, phases)
     else:
-        peaks = csms_peaks(model.code, range(point.n_elements), np.stack(windows))
+        truth_gain_db, truth_phase_deg, clean = model.signal
+    windows = clean + complex_awgn(rng, (size, clean.shape[-1]), model.noise_var)
+    if point.scheme == "OMA":
+        estimates = oma_estimate(model.code, windows)
+    else:
+        peaks = csms_peaks(model.code, range(point.n_elements), windows)
         estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates)
-    truth_gain_db, truth_phase_deg = np.stack(truths, axis=1)
     return report.gain_db - truth_gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)
-
-
-def _blocks(trials):
-    return [(a, min(a + BLOCK_TRIALS, trials)) for a in range(0, trials, BLOCK_TRIALS)]
 
 
 def run_trial(cfg, point, trial_index):
     """(gain, phase) errors of one trial, taken from its block as the report takes them."""
     if not 0 <= trial_index < cfg.trials:
         raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
-    start, stop = _blocks(cfg.trials)[trial_index // BLOCK_TRIALS]
-    gain_err, phase_err = _trial_chunk(PointModel.build(cfg, point), start, stop)
-    return gain_err[trial_index - start], phase_err[trial_index - start]
+    block, row = divmod(trial_index, BLOCK_TRIALS)
+    gain_err, phase_err = _trial_chunk(PointModel.build(cfg, point), block)
+    return gain_err[row], phase_err[row]
 
 
 def _batch_stderr(sq_errors):
@@ -361,8 +367,8 @@ def run_scenario(cfg, workers=1):
     Each (point, trial block) is one task; the tasks run in process or on one
     pool of ``min(workers, os.cpu_count(), tasks)`` workers."""
     models = [PointModel.build(cfg, point) for point in scenario_points(cfg)]
-    blocks = _blocks(cfg.trials)
-    tasks = [(model, a, b) for model in models for a, b in blocks]
+    blocks = range(-(-cfg.trials // BLOCK_TRIALS))
+    tasks = [(model, b) for model in models for b in blocks]
     workers = min(int(workers), os.cpu_count() or 1, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.map if pool else map)(_trial_chunk, *zip(*tasks))

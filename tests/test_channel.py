@@ -91,6 +91,24 @@ class TestComplexAwgn:
         np.testing.assert_array_equal(complex_awgn(np.random.default_rng(0), 10, 0.0),
                                       np.zeros(10))
 
+    def test_int_length_draws_real_then_imaginary(self):
+        # An int n keeps its contract byte for byte: n real normals, then n imaginary.
+        rng = np.random.default_rng(3)
+        scale = np.sqrt(0.3 / 2.0)
+        expected = scale * rng.standard_normal(113) + 1j * scale * rng.standard_normal(113)
+        got = complex_awgn(np.random.default_rng(3), 113, 0.3)
+        assert got.shape == (113,)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_block_shape_draw_order(self):
+        # A (T, n) block draws all T x n real parts in C order, then all imaginary parts.
+        t, n = 6, 9
+        normals = np.random.default_rng(5).standard_normal(2 * t * n)
+        got = complex_awgn(np.random.default_rng(5), (t, n), 2.0)
+        assert got.shape == (t, n)
+        np.testing.assert_array_equal(got.real, normals[:t * n].reshape(t, n))
+        np.testing.assert_array_equal(got.imag, normals[t * n:].reshape(t, n))
+
 
 class TestSynthesizeWindowOma:
     def test_noise_free_hand_multiply(self):
@@ -173,8 +191,19 @@ class TestSynthesizeStreamCsms:
         gains = ElementGains(amplitudes=rng.uniform(0.5, 2, 4),
                              phases=rng.uniform(0, 2 * np.pi, 4))
         offsets = [0, 3, 7, 11]
-        clean = csms_clean_stream(code, offsets, gains)
+        clean = csms_clean_stream(code, offsets, gains.w)
         for k in range(clean.size):
             expected = sum(w * cyclic_shift(code, q)[k % 15]
                            for w, q in zip(gains.w, offsets))
             assert clean[k] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("length, n_elements", [(63, 50), (127, 64), (511, 511)])
+    def test_batch_rows_equal_single_calls(self, length, n_elements):
+        code = msequence_code(length)
+        phases = np.random.default_rng(length).uniform(0, 2 * np.pi, (5, n_elements))
+        weights = np.exp(1j * phases)
+        offsets = range(n_elements)
+        batch = csms_clean_stream(code, offsets, weights)
+        assert batch.shape == (5, length + n_elements - 1)
+        for row, w in zip(batch, weights):
+            assert row.tobytes() == csms_clean_stream(code, offsets, w).tobytes()

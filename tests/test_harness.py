@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from arraycal import harness
+from arraycal.codes import msequence_code
 from arraycal.errors import ArrayCalError, ConfigError, UnknownFigure
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
+from oracles import build_correlation_matrix
+
+
+def _wrap_deg(angle):
+    wrapped = (np.asarray(angle) + 180.0) % 360.0 - 180.0
+    return np.where(wrapped == -180.0, 180.0, wrapped)
 
 
 def small_csms_config(**overrides):
@@ -176,31 +183,59 @@ class TestRunTrial:
         assert not np.array_equal(g1, g2)
 
     def test_oma_trial_against_straight_line_script(self):
-        # Independent oracle: re-derive the one-trial errors from the raw
+        # Independent oracle: re-derive one trial's errors from the raw
         # generator contract with explicit formulas, no library calls.
+        # Trial 66 of 70 is row 2 of block 1, the 6-trial partial block,
+        # keyed [seed, point, 1 + block]; its real (6, n) normals come
+        # before its imaginary (6, n) normals.
         cfg = ScenarioConfig(scheme="OMA", code_length=2, n_elements=2,
-                             snr_grid_db=(30.0,), trials=1, master_seed=99)
+                             snr_grid_db=(30.0,), trials=70, master_seed=99)
         point = scenario_points(cfg)[0]
-        gain_err, phase_err = run_trial(cfg, point, 0)
+        gain_err, phase_err = run_trial(cfg, point, 66)
 
         phases = np.random.default_rng([99, 0, 0]).uniform(0.0, 2.0 * np.pi, 2)
-        rng = np.random.default_rng([99, 0, 1])
+        rng = np.random.default_rng([99, 0, 2])
         c = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         w = np.exp(1j * phases)
-        sigma2 = 1e-3
-        scale = np.sqrt(sigma2 / 2.0)
-        noise = scale * rng.standard_normal(2) + 1j * scale * rng.standard_normal(2)
-        received = c @ w + noise
+        scale = np.sqrt(1e-3 / 2.0)
+        real, imag = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        received = c @ w + scale * real[2] + 1j * scale * imag[2]
         estimate = c.T @ received
         exp_gain = 20.0 * np.log10(np.abs(estimate[1]) / np.abs(estimate[0]))
-        delta = np.degrees(np.angle(estimate[1]) - np.angle(estimate[0])
-                           - (phases[1] - phases[0]))
-        exp_phase = (delta + 180.0) % 360.0 - 180.0
-        if exp_phase == -180.0:
-            exp_phase = 180.0
+        exp_phase = _wrap_deg(np.degrees(np.angle(estimate[1]) - np.angle(estimate[0])
+                                         - (phases[1] - phases[0])))
 
         assert gain_err[0] == pytest.approx(exp_gain, abs=1e-12)
         assert phase_err[0] == pytest.approx(exp_phase, abs=1e-12)
+
+    def test_per_trial_csms_trial_against_straight_line_script(self):
+        # Same oracle with per-trial phases: block 1's generator draws its
+        # (6, V) phases first, then the noise; the clean stream is a sum of
+        # rolled codes, the matched filter a dot product, the equalizer the
+        # dense inverse of the peak correlation matrix.
+        l, v = 7, 3
+        cfg = ScenarioConfig(scheme="CSMS", code_length=l, n_elements=v,
+                             snr_grid_db=(20.0,), trials=70, master_seed=99,
+                             phase_policy="per-trial")
+        point = scenario_points(cfg)[0]
+        gain_err, phase_err = run_trial(cfg, point, 66)
+
+        code = msequence_code(l)
+        n = l + v - 1
+        rng = np.random.default_rng([99, 0, 2])
+        phases = rng.uniform(0.0, 2.0 * np.pi, (6, v))[2]
+        scale = np.sqrt(1e-2 / 2.0)
+        real, imag = rng.standard_normal((6, n)), rng.standard_normal((6, n))
+        period = sum(np.exp(1j * phases[q]) * np.roll(code, q) for q in range(v))
+        received = np.concatenate([period, period[:v - 1]]) + scale * real[2] + 1j * scale * imag[2]
+        peaks = np.array([np.dot(code, received[q:q + l]) for q in range(v)])
+        estimate = np.linalg.inv(build_correlation_matrix(code, range(v))) @ peaks
+        exp_gain = 20.0 * np.log10(np.abs(estimate[1:]) / np.abs(estimate[0]))
+        exp_phase = _wrap_deg(np.degrees(np.angle(estimate[1:]) - np.angle(estimate[0])
+                                         - (phases[1:] - phases[0])))
+
+        np.testing.assert_allclose(gain_err, exp_gain, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(phase_err, exp_phase, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("trial_index", [-1, 64])
     def test_trial_index_outside_scenario_rejected(self, trial_index):
@@ -238,15 +273,19 @@ class TestSingleChain:
         assert row.phase_rmse_sim_deg == float(np.sqrt(phase_sq.mean(axis=0)).mean())
 
     def test_per_trial_span_ignores_earlier_trials(self):
-        cfg = small_csms_config(phase_policy="per-trial")
+        # A block depends on its model and index alone: running other blocks
+        # on the same model first changes neither its output nor the model.
+        cfg = small_csms_config(trials=3 * harness.BLOCK_TRIALS - 5, phase_policy="per-trial")
         point = scenario_points(cfg)[0]
-        fresh = harness._trial_chunk(PointModel.build(cfg, point), 10, 20)
+        fresh = [harness._trial_chunk(PointModel.build(cfg, point), b) for b in (1, 2)]
         model = PointModel.build(cfg, point)
         phases = model.gains.phases.copy()
-        harness._trial_chunk(model, 0, 10)
-        after = harness._trial_chunk(model, 10, 20)
+        harness._trial_chunk(model, 0)
+        after = [harness._trial_chunk(model, b) for b in (2, 1)][::-1]
         for a, b in zip(fresh, after):
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+        assert fresh[1][0].shape == (harness.BLOCK_TRIALS - 5, 5)
         assert model.signal is None
         np.testing.assert_array_equal(model.gains.phases, phases)
 

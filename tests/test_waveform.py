@@ -87,7 +87,7 @@ class TestModelCollapse:
         rng = np.random.default_rng(2)
         gains = ElementGains(amplitudes=np.ones(4), phases=rng.uniform(0, 2 * np.pi, 4))
         offsets = [0, 1, 2, 3]
-        oracle = csms_clean_stream(code, offsets, gains)
+        oracle = csms_clean_stream(code, offsets, gains.w)
         composite = np.zeros(15 * 4, dtype=complex)
         for w, q in zip(gains.w, offsets):
             composite += w * synthesize_baseband(cyclic_shift(code, q), 4).samples
