@@ -10,8 +10,8 @@ Closed-form RMSE predictions for both schemes come with a Monte-Carlo
 harness that reproduces the reference accuracy figures.
 """
 
-from .channel import (ElementGains, LinkBudget, complex_awgn, ev_n0_from_link_budget,
-                      noise_var_from_snr, synthesize_stream_csms, synthesize_window_oma)
+from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
+                      ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import (BinarySequence, aperiodic_autocorrelation, cyclic_shift,
                     generate_msequence, msequence_code, periodic_autocorrelation,
                     to_bipolar, walsh_matrix)

@@ -97,17 +97,6 @@ def complex_awgn(rng, shape, noise_var):
     return scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
 
 
-def synthesize_window_oma(code_matrix, gains, noise_var, rng):
-    """One noisy length-L receive window of the orthogonal-code composite signal."""
-    code_matrix = np.asarray(code_matrix)
-    if code_matrix.ndim != 2 or code_matrix.shape[1] != len(gains):
-        raise DimensionError(
-            f"code matrix has {code_matrix.shape[1] if code_matrix.ndim == 2 else '?'} columns "
-            f"for {len(gains)} elements")
-    clean = code_matrix @ gains.w
-    return clean + complex_awgn(rng, code_matrix.shape[0], noise_var)
-
-
 def validate_offsets(offsets, length):
     """Offsets must start at 0, strictly increase, and stay below the code length."""
     offsets = [int(q) for q in offsets]
@@ -140,13 +129,3 @@ def csms_clean_stream(code, offsets, weights):
     stream = np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed))
     return np.concatenate((stream, stream[..., :offsets[-1]]), axis=-1)
 
-
-def synthesize_stream_csms(code, offsets, gains, noise_var, rng):
-    """Noisy receive stream for the cyclic-shift scheme.
-
-    Noise is i.i.d. across the whole stream, so the overlap of adjacent
-    correlation windows induces the inter-peak noise correlation that
-    the accuracy theory accounts for.
-    """
-    clean = csms_clean_stream(code, offsets, gains.w)
-    return clean + complex_awgn(rng, clean.size, noise_var)

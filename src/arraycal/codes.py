@@ -10,7 +10,6 @@ inner product with itself is exactly 1.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import DimensionError, NonMaximalPolynomial
 
@@ -117,7 +116,10 @@ def walsh_matrix(length, count):
         raise DimensionError(f"Walsh code length must be a power of two, got {length}")
     if not 1 <= count <= length:
         raise DimensionError(f"cannot draw {count} codes of length {length}")
-    return hadamard(length).astype(np.float64)[:, :count] / np.sqrt(length)
+    h = np.ones((1, 1))
+    while h.shape[0] < length:
+        h = np.vstack((np.hstack((h, h)), np.hstack((h, -h))))
+    return h[:, :count] / np.sqrt(length)
 
 
 def periodic_autocorrelation(code, lag):

@@ -340,7 +340,7 @@ class RmseReport:
         return buf.getvalue()
 
 
-def _row(cfg, model, parts):
+def _row(model, parts):
     point = model.point
     gain_sq = np.concatenate([g for g, _ in parts])**2
     phase_sq = np.concatenate([p for _, p in parts])**2
@@ -356,8 +356,8 @@ def _row(cfg, model, parts):
         phase_rmse_theory_deg=accuracy.average_rmse(predicted.phase_rmse_deg),
         phase_rmse_sim_deg=float(np.sqrt(phase_sq.mean(axis=0)).mean()),
         phase_rmse_sim_stderr=_batch_stderr(phase_sq),
-        trials=cfg.trials,
-        seed=cfg.master_seed,
+        trials=model.trials,
+        seed=model.master_seed,
     )
 
 
@@ -372,7 +372,7 @@ def run_scenario(cfg, workers=1):
     workers = min(int(workers), os.cpu_count() or 1, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.map if pool else map)(_trial_chunk, *zip(*tasks))
-        rows = tuple(_row(cfg, model, [next(parts) for _ in blocks]) for model in models)
+        rows = tuple(_row(model, [next(parts) for _ in blocks]) for model in models)
     return RmseReport(rows=rows)
 
 

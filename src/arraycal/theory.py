@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import aperiodic_autocorrelation
 from .errors import DimensionError, NegativeRadicand
 
 DB_PER_NEPER = 10.0 / np.log(10.0)
@@ -95,7 +94,7 @@ def csms_peak_noise_cov(code, n_elements, noise_var):
     code = np.asarray(code)
     if n_elements > code.size:
         raise DimensionError(f"{n_elements} elements exceed code length {code.size}")
-    lags = np.array([aperiodic_autocorrelation(code, k) for k in range(n_elements)])
+    lags = np.correlate(code, code, "full")[code.size - 1:code.size - 1 + n_elements]
     idx = np.abs(np.subtract.outer(np.arange(n_elements), np.arange(n_elements)))
     return float(noise_var) * lags[idx]
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from arraycal.channel import ElementGains, synthesize_stream_csms, synthesize_window_oma
+from arraycal.channel import ElementGains, complex_awgn, csms_clean_stream
 from arraycal.cli import main as cli_main
 from arraycal.codes import (generate_msequence, msequence_code, periodic_autocorrelation,
                             to_bipolar, walsh_matrix)
@@ -116,12 +116,15 @@ def test_criterion_3_noise_free_exactness():
         truth = extract_mismatch(gains.w)
         if scheme == "OMA":
             c = walsh_matrix(length, count)
-            window = synthesize_window_oma(c, gains, 0.0, rng)
+            # complex_awgn at zero variance still advances rng, which fixes the
+            # next case's gains.
+            window = c @ gains.w + complex_awgn(rng, length, 0.0)
             estimate = oma_estimate(c, window)
         else:
             code = msequence_code(length)
             offsets = list(range(count))
-            stream = synthesize_stream_csms(code, offsets, gains, 0.0, rng)
+            stream = csms_clean_stream(code, offsets, gains.w)
+            stream = stream + complex_awgn(rng, stream.size, 0.0)
             estimate = zf_equalize(csms_peaks(code, offsets, stream),
                                    ZfEqualizer.for_dimensions(length, count))
         report = extract_mismatch(estimate)

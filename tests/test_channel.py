@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from arraycal.channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
-                              ev_n0_from_link_budget, noise_var_from_snr,
-                              synthesize_stream_csms, synthesize_window_oma)
+                              ev_n0_from_link_budget, noise_var_from_snr)
 from arraycal.codes import cyclic_shift, msequence_code, periodic_autocorrelation, walsh_matrix
 from arraycal.errors import DimensionError, OffsetError
 
@@ -111,11 +110,13 @@ class TestComplexAwgn:
 
 
 class TestSynthesizeWindowOma:
+    """An OMA receive window is ``code_matrix @ gains.w`` plus ``complex_awgn``."""
+
     def test_noise_free_hand_multiply(self):
         c = walsh_matrix(2, 2)
         gains = ElementGains(amplitudes=np.array([1.0, 1.0]),
                              phases=np.array([0.0, np.pi / 2]))
-        out = synthesize_window_oma(c, gains, 0.0, np.random.default_rng(0))
+        out = c @ gains.w
         # (1/sqrt(2)) * [[1,1],[1,-1]] @ [1, j]
         expected = np.array([1 + 1j, 1 - 1j]) / np.sqrt(2)
         np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -126,32 +127,16 @@ class TestSynthesizeWindowOma:
         phases = rng.uniform(0, 2 * np.pi, 3)
         small = ElementGains(amplitudes=np.full(3, 1e-9), phases=phases)
         unit = ElementGains(amplitudes=np.ones(3), phases=phases)
-        out_small = synthesize_window_oma(c, small, 0.0, np.random.default_rng(0))
-        out_unit = synthesize_window_oma(c, unit, 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out_small, 1e-9 * out_unit, rtol=1e-12)
-
-    def test_noise_variance(self):
-        c = walsh_matrix(2, 2)
-        gains = ElementGains(amplitudes=np.ones(2), phases=np.zeros(2))
-        rng = np.random.default_rng(3)
-        samples = np.concatenate([
-            synthesize_window_oma(c, gains, 1.0, rng) - c @ gains.w
-            for _ in range(50_000)
-        ])
-        assert abs(np.mean(np.abs(samples) ** 2) - 1.0) < 0.03
-
-    def test_element_count_mismatch(self):
-        c = walsh_matrix(4, 3)
-        gains = ElementGains(amplitudes=np.ones(2), phases=np.zeros(2))
-        with pytest.raises(DimensionError):
-            synthesize_window_oma(c, gains, 0.0, np.random.default_rng(0))
+        np.testing.assert_allclose(c @ small.w, 1e-9 * (c @ unit.w), rtol=1e-12)
 
 
 class TestSynthesizeStreamCsms:
+    """A CSMS receive stream is ``csms_clean_stream`` plus ``complex_awgn``."""
+
     def test_single_element_periodic_extension(self):
         code = msequence_code(7)
         gains = ElementGains(amplitudes=np.array([1.5]), phases=np.array([0.3]))
-        out = synthesize_stream_csms(code, [0], gains, 0.0, np.random.default_rng(0))
+        out = csms_clean_stream(code, [0], gains.w)
         np.testing.assert_allclose(out, gains.w[0] * code, atol=1e-15)
 
     def test_second_peak_carries_interference(self):
@@ -160,7 +145,7 @@ class TestSynthesizeStreamCsms:
         code = msequence_code(7)
         gains = ElementGains(amplitudes=np.array([1.0, 2.0]),
                              phases=np.array([0.2, 1.1]))
-        stream = synthesize_stream_csms(code, [0, 1], gains, 0.0, np.random.default_rng(0))
+        stream = csms_clean_stream(code, [0, 1], gains.w)
         assert stream.size == 8
         peak2 = np.dot(code, stream[1:8])
         w = gains.w
@@ -168,22 +153,20 @@ class TestSynthesizeStreamCsms:
         np.testing.assert_allclose(peak2, expected, atol=1e-12)
 
     def test_duplicate_offsets_rejected(self):
-        code = msequence_code(7)
-        gains = ElementGains(amplitudes=np.ones(2), phases=np.zeros(2))
         with pytest.raises(OffsetError):
-            synthesize_stream_csms(code, [0, 0], gains, 0.0, np.random.default_rng(0))
+            csms_clean_stream(msequence_code(7), [0, 0], np.ones(2))
 
     def test_first_offset_must_be_zero(self):
-        code = msequence_code(7)
-        gains = ElementGains(amplitudes=np.ones(2), phases=np.zeros(2))
         with pytest.raises(OffsetError):
-            synthesize_stream_csms(code, [1, 2], gains, 0.0, np.random.default_rng(0))
+            csms_clean_stream(msequence_code(7), [1, 2], np.ones(2))
 
     def test_offset_exceeding_length_rejected(self):
-        code = msequence_code(7)
-        gains = ElementGains(amplitudes=np.ones(2), phases=np.zeros(2))
         with pytest.raises(OffsetError):
-            synthesize_stream_csms(code, [0, 7], gains, 0.0, np.random.default_rng(0))
+            csms_clean_stream(msequence_code(7), [0, 7], np.ones(2))
+
+    def test_element_count_mismatch(self):
+        with pytest.raises(DimensionError):
+            csms_clean_stream(msequence_code(7), [0, 1, 2], np.ones(2))
 
     def test_stream_is_sum_of_shifted_codes(self):
         code = msequence_code(15)

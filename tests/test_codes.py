@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from arraycal.codes import (DEFAULT_TAPS, BinarySequence, aperiodic_autocorrelation,
                             cyclic_shift, default_taps_for_length, generate_msequence,
@@ -136,6 +137,12 @@ class TestWalshMatrix:
         count = int(rng.integers(1, length + 1))
         c = walsh_matrix(length, count)
         np.testing.assert_allclose(c.T @ c, np.eye(count), atol=1e-12)
+
+
+    @pytest.mark.parametrize("length", [2**k for k in range(11)])
+    def test_bytes_equal_scipy_hadamard(self, length):
+        expected = hadamard(length) / np.sqrt(length)
+        assert walsh_matrix(length, length).tobytes() == expected.tobytes()
 
 
 class TestAutocorrelation:

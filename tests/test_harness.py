@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import arraycal
 from arraycal import harness
 from arraycal.codes import msequence_code
 from arraycal.errors import ArrayCalError, ConfigError, UnknownFigure
@@ -518,3 +522,23 @@ def test_rng_stream_is_deterministic():
 def test_grid_point_is_plain_data():
     p = GridPoint(index=0, scheme="OMA", n_elements=4, code_length=64, ev_n0_db=10.0)
     assert p.index == 0
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from arraycal import ScenarioConfig, run_scenario
+for scheme, length in (("OMA", 64), ("CSMS", 63)):
+    run_scenario(ScenarioConfig(scheme=scheme, code_length=length, n_elements=4,
+                                snr_grid_db=(20.0,), trials=8))
+assert "scipy" not in sys.modules
+"""
+
+
+def test_scenarios_run_without_scipy():
+    # A child interpreter, so that no module this test process loaded counts.
+    src = os.path.dirname(os.path.dirname(arraycal.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr

@@ -10,6 +10,7 @@ import arraycal
 from arraycal.channel import ElementGains, complex_awgn
 from arraycal.codes import aperiodic_autocorrelation, msequence_code
 from arraycal.errors import DimensionError, NegativeRadicand
+from arraycal.harness import figure_configs
 from arraycal.receiver import ZfEqualizer, csms_peaks, wrap_degrees
 from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
@@ -64,6 +65,14 @@ class TestCsmsPeakNoiseCov:
         predicted = csms_peak_noise_cov(code, n_elements, noise_var)
         # entries are averages of n_streams products: se ~ noise_var/sqrt(n)
         assert np.max(np.abs(empirical - predicted)) < 3 * noise_var / np.sqrt(n_streams) * 1.5
+
+    @pytest.mark.parametrize("length", sorted({
+        cfg.code_length for name in ("fig5", "fig7") for cfg in figure_configs(name)
+        if cfg.scheme == "CSMS"}))
+    def test_lags_bit_equal_to_aperiodic_autocorrelation(self, length):
+        code = msequence_code(length)
+        lags = np.array([aperiodic_autocorrelation(code, k) for k in range(length)])
+        assert csms_peak_noise_cov(code, length, 1.0)[0].tobytes() == lags.tobytes()
 
     def test_too_many_elements(self):
         with pytest.raises(DimensionError):
