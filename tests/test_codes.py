@@ -138,7 +138,6 @@ class TestWalshMatrix:
         c = walsh_matrix(length, count)
         np.testing.assert_allclose(c.T @ c, np.eye(count), atol=1e-12)
 
-
     @pytest.mark.parametrize("length", [2**k for k in range(11)])
     def test_bytes_equal_scipy_hadamard(self, length):
         expected = hadamard(length) / np.sqrt(length)
