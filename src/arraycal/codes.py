@@ -110,15 +110,16 @@ def walsh_matrix(length, count):
     """First ``count`` columns of the order-``length`` Sylvester-Hadamard matrix, scaled 1/sqrt(L).
 
     Columns are mutually orthonormal, so the code matrix C satisfies
-    C.T @ C = I exactly up to rounding.
+    C.T @ C = I exactly up to rounding.  Only the kept columns are built:
+    column 2^b + j (j < 2^b) is column j times (-1)^(bit b of the row index).
     """
     if length < 1 or length & (length - 1) != 0:
         raise DimensionError(f"Walsh code length must be a power of two, got {length}")
     if not 1 <= count <= length:
         raise DimensionError(f"cannot draw {count} codes of length {length}")
-    h = np.ones((1, 1))
-    while h.shape[0] < length:
-        h = np.vstack((np.hstack((h, h)), np.hstack((h, -h))))
+    h = np.ones((length, 1))
+    for bit in range(int(count - 1).bit_length()):
+        h = np.hstack((h, h * (1.0 - 2.0 * (np.arange(length)[:, None] >> bit & 1))))
     return h[:, :count] / np.sqrt(length)
 
 

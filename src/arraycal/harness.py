@@ -3,8 +3,8 @@
 Each grid point is built once into an immutable ``PointModel``; it feeds
 the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
-batched pass through that chain.  A scenario call runs its (point, block)
-tasks in process or on one pool of at most CPU-count and task-count workers.
+batched pass through that chain.  A scenario call runs a prediction task per
+point and its (point, block) tasks in process or on one pool (``run_scenario``).
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -340,20 +340,25 @@ class RmseReport:
         return buf.getvalue()
 
 
-def _row(model, parts):
+def _predict(model):
+    """Element-averaged (gain dB, phase deg) theory RMSEs of one point."""
+    theory = accuracy.theory_point(model.gains, model.noise_stats())
+    return accuracy.average_rmse(theory.gain_rmse_db), accuracy.average_rmse(theory.phase_rmse_deg)
+
+
+def _row(model, predicted, parts):
     point = model.point
     gain_sq = np.concatenate([g for g, _ in parts])**2
     phase_sq = np.concatenate([p for _, p in parts])**2
-    predicted = accuracy.theory_point(model.gains, model.noise_stats())
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,
         code_length=point.code_length,
         ev_n0_db=point.ev_n0_db,
-        gain_rmse_theory_db=accuracy.average_rmse(predicted.gain_rmse_db),
+        gain_rmse_theory_db=predicted[0],
         gain_rmse_sim_db=float(np.sqrt(gain_sq.mean(axis=0)).mean()),
         gain_rmse_sim_stderr=_batch_stderr(gain_sq),
-        phase_rmse_theory_deg=accuracy.average_rmse(predicted.phase_rmse_deg),
+        phase_rmse_theory_deg=predicted[1],
         phase_rmse_sim_deg=float(np.sqrt(phase_sq.mean(axis=0)).mean()),
         phase_rmse_sim_stderr=_batch_stderr(phase_sq),
         trials=model.trials,
@@ -364,15 +369,17 @@ def _row(model, parts):
 def run_scenario(cfg, workers=1):
     """Run every grid point of a scenario and report theory next to simulation.
 
-    Each (point, trial block) is one task; the tasks run in process or on one
-    pool of ``min(workers, os.cpu_count(), tasks)`` workers."""
+    Each point's prediction, and each (point, trial block), is one task; they run in
+    process or on one pool of ``min(workers, os.cpu_count(), block tasks)`` workers."""
     models = [PointModel.build(cfg, point) for point in scenario_points(cfg)]
     blocks = range(-(-cfg.trials // BLOCK_TRIALS))
     tasks = [(model, b) for model in models for b in blocks]
     workers = min(int(workers), os.cpu_count() or 1, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(_trial_chunk, *zip(*tasks))
-        rows = tuple(_row(model, [next(parts) for _ in blocks]) for model in models)
+        run = pool.map if pool else map
+        predictions = run(_predict, models)  # the longest tasks, queued first
+        parts = run(_trial_chunk, *zip(*tasks))
+        rows = tuple(_row(m, next(predictions), [next(parts) for _ in blocks]) for m in models)
     return RmseReport(rows=rows)
 
 

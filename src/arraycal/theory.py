@@ -269,11 +269,44 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QU
     # evaluated without cancellation as (p - q)^2 + floor + 4 p q bend
     # (q = |rho| sqrt(tv)); m is A at r = 1, and m = 2 sd^2.
     out = np.zeros((3, t1.size))
-    live = np.flatnonzero(_area_terms(t1, tv, rho, dphi)[3] != 0)  # NaN stays NaN
+    terms = _area_terms(t1, tv, rho, dphi)
+    live = np.flatnonzero(terms[3] != 0)  # NaN stays NaN
+    # Per-element and per-node factors once; only the (chunk, nodes, nodes) density is chunked.
+    t1, tv, rho, dphi, root_1, q, floor, m = (a[live] for a in (t1, tv, rho, dphi, *terms))
+    det = t1 * floor
+    sd = np.sqrt(m / 2.0)
+    reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1, tv), tail))
+    u, wu = _sinh_rule(sd, reach, nodes)
+    theta, wt = _sinh_rule(sd, np.minimum(reach, np.pi), nodes)
+    exp_u = np.exp(u)
+    p = root_1[:, None] * exp_u
+    cross = 4.0 * p * q[:, None]
+    bend = _bend(theta + dphi[:, None], rho[:, None])
+    core = (p - q[:, None]) ** 2 + floor[:, None]
+    # |1 - r|^2 = (e^u - 1)^2 + 4 e^u sin^2(theta/2), free of cancellation
+    four_exp_u, expm1_sq = 4.0 * exp_u, np.expm1(u) ** 2
+    sin_sq = np.sin(theta / 2.0) ** 2
+    # Jacobian e^{2u} of r -> (u, theta), and the 1/pi of the density.
+    wu *= exp_u * exp_u / np.pi
     step = max(1, _CHUNK_BYTES // (8 * nodes * nodes))
     for lo in range(0, live.size, step):
-        i = live[lo:lo + step]
-        out[:, i] = _block_moments(t1[i], tv[i], rho[i], dphi[i], nodes, tail)
+        i = slice(lo, lo + step)
+        area = cross[i, :, None] * bend[i, None, :]
+        area += core[i, :, None]
+        e = four_exp_u[i, :, None] * sin_sq[i, None, :]
+        e += expm1_sq[i, :, None]
+        e /= area
+        dens = np.negative(e)
+        np.exp(dens, out=dens)
+        e *= -det[i, None, None]
+        e += (det + m)[i, None, None]
+        dens *= e
+        area *= area
+        dens /= area
+        pu = np.matmul(dens, wt[i, :, None])[:, :, 0] * wu[i]
+        pt = np.matmul(wu[i, None, :], dens)[:, 0, :] * wt[i]
+        out[:, live[i]] = ((pu * u[i]).sum(axis=1), (pu * u[i] * u[i]).sum(axis=1),
+                           (pt * theta[i] * theta[i]).sum(axis=1))
     return out
 
 
@@ -283,37 +316,6 @@ def _area_terms(t1, tv, rho, dphi):
     q = np.abs(rho) * np.sqrt(tv)
     floor = (1.0 - rho * rho) * tv
     return root_1, q, floor, (root_1 - q) ** 2 + floor + 4.0 * root_1 * q * _bend(dphi, rho)
-
-
-def _block_moments(t1, tv, rho, dphi, nodes, tail):
-    """``log_ratio_moments`` for one block of elements with noise (m != 0)."""
-    root_1, q, floor, m = _area_terms(t1, tv, rho, dphi)
-    det = t1 * floor
-    sd = np.sqrt(m / 2.0)
-    reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1, tv), tail))
-    u, wu = _sinh_rule(sd, reach, nodes)
-    theta, wt = _sinh_rule(sd, np.minimum(reach, np.pi), nodes)
-    exp_u = np.exp(u)
-    p = root_1[:, None] * exp_u
-    bend = _bend(theta + dphi[:, None], rho[:, None])
-    area = (4.0 * p * q[:, None])[:, :, None] * bend[:, None, :]
-    area += ((p - q[:, None]) ** 2 + floor[:, None])[:, :, None]
-    # |1 - r|^2 = (e^u - 1)^2 + 4 e^u sin^2(theta/2), free of cancellation
-    e = (4.0 * exp_u)[:, :, None] * (np.sin(theta / 2.0) ** 2)[:, None, :]
-    e += (np.expm1(u) ** 2)[:, :, None]
-    e /= area
-    dens = np.negative(e)
-    np.exp(dens, out=dens)
-    e *= -det[:, None, None]
-    e += (det + m)[:, None, None]
-    dens *= e
-    area *= area
-    dens /= area
-    # Jacobian e^{2u} of r -> (u, theta), and the 1/pi of the density.
-    wu *= exp_u * exp_u / np.pi
-    pu = np.matmul(dens, wt[:, :, None])[:, :, 0] * wu
-    pt = np.matmul(wu[:, None, :], dens)[:, 0, :] * wt
-    return (pu * u).sum(axis=1), (pu * u * u).sum(axis=1), (pt * theta * theta).sum(axis=1)
 
 
 def _bend(angle, rho):

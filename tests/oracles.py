@@ -5,6 +5,12 @@ equalizer and the error theory use its two coefficients directly.  The
 dense correlation matrix, the dense inverse and the dense covariance
 product here are the plain-definition oracles for those shortcuts.
 
+``log_ratio_moments_by_block`` is the quadrature of
+``theory.log_ratio_moments`` as first written: every factor of the
+density is computed inside the loop over element chunks.  The library
+computes the per-element and per-node factors once for all elements; the
+bytes must not move.
+
 The oversampled chip-level waveform model (rectangular chip pulse, chip
 matched filter, chip-rate sampling) shows that the oversampled picture
 collapses to the discrete model, so the library can stay at one sample
@@ -15,9 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from arraycal import theory
 from arraycal.channel import validate_offsets
 from arraycal.codes import periodic_autocorrelation
 from arraycal.errors import DimensionError
+from arraycal.theory import (QUAD_NODES, QUAD_TAIL, QUAD_WIDTH, _area_terms, _bend, _sinh_rule,
+                             _tail_reach)
 
 
 def build_correlation_matrix(code, offsets):
@@ -45,6 +54,48 @@ def dense_gain_noise_cov(eq, peak_cov):
     """Covariance of the equalized gain estimates, inv @ P @ inv, by dense products."""
     inv = zf_inverse_matrix(eq)
     return inv @ np.asarray(peak_cov) @ inv
+
+
+def log_ratio_moments_by_block(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES,
+                               tail=QUAD_TAIL):
+    """``theory.log_ratio_moments`` with all its work done chunk by chunk."""
+    t1, tv, rho, dphi = (np.ravel(a).astype(np.float64)
+                         for a in np.broadcast_arrays(snr_inv_1, snr_inv_v, rho, dphi))
+    out = np.zeros((3, t1.size))
+    live = np.flatnonzero(_area_terms(t1, tv, rho, dphi)[3] != 0)
+    step = max(1, theory._CHUNK_BYTES // (8 * nodes * nodes))
+    for lo in range(0, live.size, step):
+        i = live[lo:lo + step]
+        out[:, i] = _block_moments(t1[i], tv[i], rho[i], dphi[i], nodes, tail)
+    return out
+
+
+def _block_moments(t1, tv, rho, dphi, nodes, tail):
+    root_1, q, floor, m = _area_terms(t1, tv, rho, dphi)
+    det = t1 * floor
+    sd = np.sqrt(m / 2.0)
+    reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1, tv), tail))
+    u, wu = _sinh_rule(sd, reach, nodes)
+    theta, wt = _sinh_rule(sd, np.minimum(reach, np.pi), nodes)
+    exp_u = np.exp(u)
+    p = root_1[:, None] * exp_u
+    bend = _bend(theta + dphi[:, None], rho[:, None])
+    area = (4.0 * p * q[:, None])[:, :, None] * bend[:, None, :]
+    area += ((p - q[:, None]) ** 2 + floor[:, None])[:, :, None]
+    e = (4.0 * exp_u)[:, :, None] * (np.sin(theta / 2.0) ** 2)[:, None, :]
+    e += (np.expm1(u) ** 2)[:, :, None]
+    e /= area
+    dens = np.negative(e)
+    np.exp(dens, out=dens)
+    e *= -det[:, None, None]
+    e += (det + m)[:, None, None]
+    dens *= e
+    area *= area
+    dens /= area
+    wu *= exp_u * exp_u / np.pi
+    pu = np.matmul(dens, wt[:, :, None])[:, :, 0] * wu
+    pt = np.matmul(wu[:, None, :], dens)[:, 0, :] * wt
+    return (pu * u).sum(axis=1), (pu * u * u).sum(axis=1), (pt * theta * theta).sum(axis=1)
 
 
 @dataclass(frozen=True)

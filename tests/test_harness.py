@@ -307,9 +307,11 @@ class TestSingleChain:
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and each map's
+    function and arguments, maps in process."""
 
     created = []
+    mapped = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -321,7 +323,9 @@ class _InProcessPool:
         return False
 
     def map(self, fn, *iterables):
-        return map(fn, *iterables)
+        args = [list(it) for it in iterables]
+        self.mapped.append((fn, args))
+        return map(fn, *args)
 
 
 class TestWorkerCap:
@@ -356,6 +360,25 @@ class TestWorkerCap:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         run_scenario(small_csms_config(trials=64), workers=4)
         assert fake_pool == []
+
+
+class TestPoolDispatch:
+    def test_predictions_are_queued_before_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(_InProcessPool, "created", [])
+        monkeypatch.setattr(_InProcessPool, "mapped", [])
+        # 3 points x 2 blocks.
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
+                                trials=harness.BLOCK_TRIALS + 1)
+        report = run_scenario(cfg, workers=2)
+        (predict, (models,)), (chunk, (block_models, blocks)) = _InProcessPool.mapped
+        assert _InProcessPool.created == [2]
+        assert predict is harness._predict and chunk is harness._trial_chunk
+        assert [m.point.index for m in models] == [0, 1, 2]
+        assert [m.point.index for m in block_models] == [0, 0, 1, 1, 2, 2]
+        assert blocks == [0, 1, 0, 1, 0, 1]
+        assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
 
 class TestRunScenario:

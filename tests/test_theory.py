@@ -10,13 +10,14 @@ import arraycal
 from arraycal.channel import ElementGains, complex_awgn
 from arraycal.codes import aperiodic_autocorrelation, msequence_code
 from arraycal.errors import DimensionError, NegativeRadicand
-from arraycal.harness import figure_configs
+from arraycal import theory
+from arraycal.harness import PointModel, figure_configs, scenario_points
 from arraycal.receiver import ZfEqualizer, csms_peaks, wrap_degrees
 from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
                              log_ratio_moments, oma_noise_stats, phase_rmse_theory,
                              theory_point)
-from oracles import dense_gain_noise_cov
+from oracles import dense_gain_noise_cov, log_ratio_moments_by_block
 
 
 class TestOmaNoiseStats:
@@ -333,6 +334,49 @@ class TestTheoryPoint:
                                    20.0 / np.log(10.0) * np.sqrt(refined[1]), rtol=1e-3)
         np.testing.assert_allclose(point.phase_rmse_deg,
                                    np.degrees(np.sqrt(refined[2])), rtol=1e-3)
+
+
+class TestLogRatioMomentsMatchesBlockOracle:
+    """The quadrature with its per-element work hoisted out of the chunk loop
+    gives the bytes of the loop that did all its work chunk by chunk."""
+
+    @staticmethod
+    def assert_same_bytes(*args, **rule):
+        expected = log_ratio_moments_by_block(*args, **rule)
+        assert log_ratio_moments(*args, **rule).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_figure_grid_points(self, figure):
+        for cfg in figure_configs(figure, master_seed=1729, trials=1):
+            for point in scenario_points(cfg):
+                model = PointModel.build(cfg, point)
+                amp, phs = model.gains.amplitudes, model.gains.phases
+                stats = model.noise_stats()
+                self.assert_same_bytes(stats.variances[0] / amp[0] ** 2,
+                                       stats.variances[1:] / amp[1:] ** 2,
+                                       stats.correlations, phs[1:] - phs[0])
+
+    # Chunks cut to 3 elements: 1, step, step + 1 and 2 step + 1 elements.
+    @pytest.mark.parametrize("count", [1, 3, 4, 7])
+    def test_element_counts_around_chunk_edges(self, monkeypatch, count):
+        monkeypatch.setattr(theory, "_CHUNK_BYTES", 3 * 8 * theory.QUAD_NODES ** 2)
+        rng = np.random.default_rng(count)
+        t1, tv = np.full(count, 0.02), rng.uniform(1e-3, 0.3, count)
+        rho, dphi = rng.uniform(-1.0, 1.0, count), rng.uniform(-np.pi, np.pi, count)
+        self.assert_same_bytes(t1, tv, rho, dphi)
+        t1[1::2] = tv[1::2] = 0.0  # noise-free elements between noisy ones
+        self.assert_same_bytes(t1, tv, rho, dphi)
+
+    @pytest.mark.parametrize("rho", [1.0, -1.0])
+    def test_full_correlation_with_unequal_variances(self, rho):
+        self.assert_same_bytes(0.1, np.array([0.2, 0.05, 0.1]), rho, np.array([0.0, 0.4, -2.0]))
+
+    def test_zero_noise_nan_and_refined_rule(self):
+        self.assert_same_bytes(0.0, np.zeros(3), 0.0, np.array([0.0, 1.0, 2.0]))
+        self.assert_same_bytes(0.01, np.array([np.nan, 0.02, 0.0]), np.array([0.0, np.nan, 0.3]),
+                               np.array([0.5, 0.5, np.nan]))
+        self.assert_same_bytes(0.05, np.array([0.2, 0.2, 0.5]), np.array([0.0, 0.6, -0.9]),
+                               np.array([0.3, 1.0, 2.5]), nodes=96, tail=1e-12)
 
 
 class TestAverageRmse:
