@@ -5,11 +5,10 @@ equalizer and the error theory use its two coefficients directly.  The
 dense correlation matrix, the dense inverse and the dense covariance
 product here are the plain-definition oracles for those shortcuts.
 
-``log_ratio_moments_by_block`` is the quadrature of
-``theory.log_ratio_moments`` as first written: every factor of the
-density is computed inside the loop over element chunks.  The library
-computes the per-element and per-node factors once for all elements; the
-bytes must not move.
+``log_ratio_moments_by_block`` computes every factor of
+``theory.log_ratio_moments``' density inside the loop over element
+chunks.  The library computes the per-element and per-node factors once
+for all elements and must give the same bytes.
 
 The oversampled chip-level waveform model (rectangular chip pulse, chip
 matched filter, chip-rate sampling) shows that the oversampled picture
