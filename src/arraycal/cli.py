@@ -8,7 +8,7 @@ import numpy as np
 
 from . import harness, theory as accuracy
 from .codes import generate_msequence, periodic_autocorrelation, to_bipolar, walsh_matrix
-from .errors import ArrayCalError
+from .errors import ArrayCalError, ConfigError
 
 
 def _parse_taps(text):
@@ -70,8 +70,13 @@ def _cmd_theory_eval(args):
 
 
 def _cmd_simulate(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read scenario file {args.config}: {e}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"scenario file {args.config} must hold a JSON object")
     if args.seed is not None:
         raw["master_seed"] = args.seed
     if args.trials is not None:

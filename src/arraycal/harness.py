@@ -3,8 +3,10 @@
 Each grid point is built once into an immutable ``PointModel``; it feeds
 the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
-batched pass through that chain.  A scenario call runs a prediction task per
-point and its (point, block) tasks in process or on one pool (``run_scenario``).
+batched pass through that chain.  A grid point is the only task of a
+scenario call: the task that owns it builds its model, predicts, runs its
+blocks and reduces them to its report row, in process or on one pool
+(``run_scenario``).
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -23,10 +25,11 @@ count, and error sums are reduced in fixed trial order.
 import csv
 import io
 import math
+import numbers
 import os
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,7 +46,7 @@ PHASE_POLICIES = ("per-point", "per-trial")
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
 STDERR_BATCHES = 25
-BLOCK_TRIALS = 64  # the unit of randomness, synthesis, reception and pool distribution
+BLOCK_TRIALS = 64  # the unit of randomness, synthesis and reception
 
 CSV_COLUMNS = [
     "scheme", "V", "L", "ev_n0_db",
@@ -74,6 +77,13 @@ class ScenarioConfig:
     phase_policy: str = "per-point"
 
     def __post_init__(self):
+        for name in ("code_length", "trials", "master_seed"):
+            self._coerce(name, numbers.Integral)
+        for name, kind in (("n_elements", numbers.Integral), ("ev_n0_db", numbers.Real),
+                           ("snr_grid_db", numbers.Real), ("v_grid", numbers.Integral),
+                           ("taps", numbers.Integral)):
+            if getattr(self, name) is not None:
+                self._coerce(name, kind)
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if (self.snr_grid_db is None) == (self.v_grid is None):
@@ -87,72 +97,61 @@ class ScenarioConfig:
             raise ConfigError("trials must be >= 1")
         if self.phase_policy not in PHASE_POLICIES:
             raise ConfigError(f"phase_policy must be one of {PHASE_POLICIES}")
-        if self.snr_grid_db is not None:
-            object.__setattr__(self, "snr_grid_db", tuple(float(s) for s in self.snr_grid_db))
-            if not self.snr_grid_db:
-                raise ConfigError("snr_grid_db is empty")
-            self._check_elements(self.n_elements)
-        else:
-            object.__setattr__(self, "v_grid", tuple(int(v) for v in self.v_grid))
-            if not self.v_grid:
-                raise ConfigError("v_grid is empty")
-            for v in self.v_grid:
-                self._check_elements(v)
+        if not (self.snr_grid_db or self.v_grid):
+            raise ConfigError("the grid (snr_grid_db or v_grid) is empty")
+        for v in self.v_grid or (self.n_elements,):
+            if not 2 <= v <= self.code_length:
+                raise ConfigError(
+                    f"element count {v} must satisfy 2 <= V <= code length {self.code_length}")
         # +inf is valid and means noise-free.
         for snr in (*(self.snr_grid_db or ()), self.ev_n0_db):
             if snr is not None and (math.isnan(snr) or snr == -math.inf):
                 raise ConfigError(f"snr_grid_db and ev_n0_db must be numbers or +inf, got {snr}")
+        # Fails here, not mid-run, on an unsupported length or non-primitive explicit taps.
         if self.taps is not None:
-            object.__setattr__(self, "taps", tuple(int(t) for t in self.taps))
             if self.scheme != "CSMS":
                 raise ConfigError("taps only apply to the CSMS scheme")
-        # Fails here (not mid-run) if the code length is unsupported.
-        if self.scheme == "CSMS" and self.taps is None:
+            msequence_code(self.code_length, self.taps)
+        elif self.scheme == "CSMS":
             object.__setattr__(self, "taps", default_taps_for_length(self.code_length))
         if self.scheme == "OMA" and self.code_length & (self.code_length - 1) != 0:
             raise ConfigError(f"OMA requires a power-of-two code length, got {self.code_length}")
 
-    def _check_elements(self, v):
-        if not 2 <= v <= self.code_length:
-            raise ConfigError(
-                f"element count {v} must satisfy 2 <= V <= code length {self.code_length}")
+    def _coerce(self, name, kind):
+        """Store field ``name`` as an int (``numbers.Integral``) or a float (``numbers.Real``);
+        list fields entry by entry.  Bools are refused."""
+        value, many = getattr(self, name), name in ("snr_grid_db", "v_grid", "taps")
+        if many and (isinstance(value, str) or not hasattr(value, "__iter__")):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        cast, what = (int, "an integer") if kind is numbers.Integral else (float, "a number")
+        for v in value if many else (value,):
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(f"{name} {'entries' if many else 'value'} must be {what}, "
+                                  f"got {v!r}")
+        object.__setattr__(self, name, tuple(map(cast, value)) if many else cast(value))
 
     @classmethod
     def from_dict(cls, d):
         """Build from the scenario-file layout (see docs/scenario_schema.json)."""
         d = dict(d)
-        known = {"scheme", "code_length", "n_elements", "snr_grid_db", "v_grid", "ev_n0_db",
-                 "link_budget", "trials", "master_seed", "taps", "phase_policy",
-                 "amplitude_policy"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)} - {"link_budget", "amplitude_policy"}
         if unknown:
             raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-        if d.get("amplitude_policy", "all-ones") != "all-ones":
+        missing = {"scheme", "code_length"} - set(d)
+        if missing:
+            raise ConfigError(f"scenario file is missing fields {sorted(missing)}")
+        if d.pop("amplitude_policy", "all-ones") != "all-ones":
             raise ConfigError("only the all-ones amplitude policy is supported")
-        ev_n0_db = d.get("ev_n0_db")
         if "link_budget" in d:
-            if ev_n0_db is not None:
+            if d.get("ev_n0_db") is not None:
                 raise ConfigError("give either ev_n0_db or link_budget, not both")
             try:
-                lb = LinkBudget.from_dict(d["link_budget"])
+                d["ev_n0_db"] = ev_n0_from_link_budget(LinkBudget.from_dict(d.pop("link_budget")))
             except KeyError as e:
                 raise ConfigError(f"link_budget is missing field {e}") from None
-            ev_n0_db = ev_n0_from_link_budget(lb)
-        try:
-            return cls(
-                scheme=str(d["scheme"]).upper(),
-                code_length=int(d["code_length"]),
-                n_elements=None if d.get("n_elements") is None else int(d["n_elements"]),
-                snr_grid_db=d.get("snr_grid_db"),
-                v_grid=d.get("v_grid"),
-                ev_n0_db=None if ev_n0_db is None else float(ev_n0_db),
-                trials=int(d.get("trials", DEFAULT_TRIALS)),
-                master_seed=int(d.get("master_seed", DEFAULT_SEED)),
-                taps=d.get("taps"),
-                phase_policy=d.get("phase_policy", "per-point"),
-            )
-        except KeyError as e:
-            raise ConfigError(f"scenario file is missing field {e}") from None
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"link_budget fields must be numbers: {e}") from None
+        return cls(**dict(d, scheme=str(d["scheme"]).upper()))
 
 
 @dataclass(frozen=True)
@@ -340,14 +339,11 @@ class RmseReport:
         return buf.getvalue()
 
 
-def _predict(model):
-    """Element-averaged (gain dB, phase deg) theory RMSEs of one point."""
+def _point_row(cfg, point):
+    """Report row of one grid point: its model, prediction and trial blocks in trial order."""
+    model = PointModel.build(cfg, point)
     theory = accuracy.theory_point(model.gains, model.noise_stats())
-    return accuracy.average_rmse(theory.gain_rmse_db), accuracy.average_rmse(theory.phase_rmse_deg)
-
-
-def _row(model, predicted, parts):
-    point = model.point
+    parts = [_trial_chunk(model, b) for b in range(-(-cfg.trials // BLOCK_TRIALS))]
     gain_sq = np.concatenate([g for g, _ in parts])**2
     phase_sq = np.concatenate([p for _, p in parts])**2
     return RmseRow(
@@ -355,31 +351,28 @@ def _row(model, predicted, parts):
         n_elements=point.n_elements,
         code_length=point.code_length,
         ev_n0_db=point.ev_n0_db,
-        gain_rmse_theory_db=predicted[0],
+        gain_rmse_theory_db=accuracy.average_rmse(theory.gain_rmse_db),
         gain_rmse_sim_db=float(np.sqrt(gain_sq.mean(axis=0)).mean()),
         gain_rmse_sim_stderr=_batch_stderr(gain_sq),
-        phase_rmse_theory_deg=predicted[1],
+        phase_rmse_theory_deg=accuracy.average_rmse(theory.phase_rmse_deg),
         phase_rmse_sim_deg=float(np.sqrt(phase_sq.mean(axis=0)).mean()),
         phase_rmse_sim_stderr=_batch_stderr(phase_sq),
-        trials=model.trials,
-        seed=model.master_seed,
+        trials=cfg.trials,
+        seed=cfg.master_seed,
     )
 
 
 def run_scenario(cfg, workers=1):
     """Run every grid point of a scenario and report theory next to simulation.
 
-    Each point's prediction, and each (point, trial block), is one task; they run in
-    process or on one pool of ``min(workers, os.cpu_count(), block tasks)`` workers."""
-    models = [PointModel.build(cfg, point) for point in scenario_points(cfg)]
-    blocks = range(-(-cfg.trials // BLOCK_TRIALS))
-    tasks = [(model, b) for model in models for b in blocks]
-    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
+    Each grid point is one task (``_point_row``); the tasks run in process or
+    on one pool of ``min(workers, os.cpu_count(), grid points)`` workers."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    points = scenario_points(cfg)
+    workers = min(int(workers), os.cpu_count() or 1, len(points))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        predictions = run(_predict, models)  # the longest tasks, queued first
-        parts = run(_trial_chunk, *zip(*tasks))
-        rows = tuple(_row(m, next(predictions), [next(parts) for _ in blocks]) for m in models)
+        rows = tuple((pool.map if pool else map)(_point_row, [cfg] * len(points), points))
     return RmseReport(rows=rows)
 
 

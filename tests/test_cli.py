@@ -142,6 +142,37 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("overrides", [
+        {"trials": "x"},
+        {"snr_grid_db": 10},
+        {"n_elements": None, "snr_grid_db": None, "v_grid": "abc", "ev_n0_db": 25.0},
+        {"n_elements": None, "snr_grid_db": None, "v_grid": [4],
+         "link_budget": {"eirp_dbw": "x", "path_loss_db": 200.0, "g_over_t_dbk": 30.0,
+                         "ts_seconds": 1e-3}},
+    ], ids=["trials-str", "snr_grid-number", "v_grid-str", "link_budget-str"])
+    def test_simulate_wrong_typed_field_reports_error(self, capsys, tmp_path, overrides):
+        cfg = self.write_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "simulate", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    def test_simulate_unreadable_file_reports_error(self, capsys, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "scenario.json" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_workers_below_one_reports_error(self, capsys, tmp_path, command):
+        target = str(self.write_config(tmp_path)) if command == "simulate" else "fig5"
+        code, out, err = run_cli(capsys, command, target, "--trials", "2", "--workers", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "workers" in err
+
     def test_workers_byte_identical_small(self, capsys, tmp_path):
         cfg = self.write_config(tmp_path, trials=32)
         outputs = []

@@ -9,7 +9,7 @@ import pytest
 import arraycal
 from arraycal import harness
 from arraycal.codes import msequence_code
-from arraycal.errors import ArrayCalError, ConfigError, UnknownFigure
+from arraycal.errors import ArrayCalError, ConfigError, NonMaximalPolynomial, UnknownFigure
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
@@ -65,6 +65,45 @@ class TestScenarioConfig:
     def test_trials_lower_bound(self):
         with pytest.raises(ConfigError):
             small_csms_config(trials=0)
+
+    @pytest.mark.parametrize("overrides", [
+        {"trials": 2.5}, {"trials": True}, {"n_elements": 6.0}, {"master_seed": "7"},
+        {"scheme": "OMA", "code_length": 64.0},
+    ], ids=["trials-float", "trials-bool", "n_elements-float", "seed-str", "oma-length-float"])
+    def test_integer_fields_must_be_integers(self, overrides):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            small_csms_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_csms_config(trials=np.int64(64), n_elements=np.int32(6))
+        assert cfg == small_csms_config()
+
+    def test_non_primitive_taps_rejected_at_config_time(self):
+        with pytest.raises(NonMaximalPolynomial):
+            small_csms_config(taps=(6, 3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", "x"),
+        ("snr_grid_db", 10),
+        ("snr_grid_db", "10"),
+        ("v_grid", "abc"),
+        ("ev_n0_db", "abc"),
+        ("taps", [6, "5"]),
+        ("link_budget", {"eirp_dbw": "x", "path_loss_db": 200.0,
+                         "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}),
+        ("link_budget", "abc"),
+    ], ids=["trials-str", "snr_grid-number", "snr_grid-str", "v_grid-str", "ev_n0-str",
+            "taps-str-entry", "link_budget-str-field", "link_budget-str"])
+    def test_from_dict_wrong_typed_field_is_config_error(self, field, value):
+        if field in ("snr_grid_db", "trials", "taps"):
+            raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6, "snr_grid_db": [25.0]}
+        else:
+            raw = {"scheme": "CSMS", "code_length": 63, "v_grid": [4]}
+            if field != "link_budget":
+                raw["ev_n0_db"] = 20.0
+        raw[field] = value
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig.from_dict(raw)
 
     def test_from_dict_roundtrip(self):
         raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6,
@@ -337,7 +376,8 @@ class TestWorkerCap:
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
-        cfg = small_csms_config(trials=3 * harness.BLOCK_TRIALS)
+        # 4 points: the CPU count, not the point count, caps the pool.
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0, 40.0), trials=8)
         report = run_scenario(cfg, workers=16)
         assert fake_pool == [3]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
@@ -345,11 +385,23 @@ class TestWorkerCap:
     @pytest.mark.parametrize("workers, expected", [(16, 6), (2, 2)])
     def test_one_pool_per_scenario_call(self, monkeypatch, fake_pool, workers, expected):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        # 3 points x 2 blocks = 6 tasks.
-        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
+        # 6 points of 2 blocks each: the point count caps the pool, blocks do not count.
+        cfg = small_csms_config(snr_grid_db=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0),
                                 trials=harness.BLOCK_TRIALS + 1)
         run_scenario(cfg, workers=workers)
         assert fake_pool == [expected]
+
+    def test_one_point_of_many_blocks_runs_in_process(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        cfg = small_csms_config(trials=3 * harness.BLOCK_TRIALS)
+        report = run_scenario(cfg, workers=4)
+        assert fake_pool == []
+        assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_scenario(small_csms_config(trials=8), workers=workers)
 
     def test_single_task_runs_in_process(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
@@ -363,21 +415,21 @@ class TestWorkerCap:
 
 
 class TestPoolDispatch:
-    def test_predictions_are_queued_before_blocks(self, monkeypatch):
+    def test_points_are_the_only_tasks(self, monkeypatch):
         monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(_InProcessPool, "created", [])
         monkeypatch.setattr(_InProcessPool, "mapped", [])
-        # 3 points x 2 blocks.
+        # 3 points x 2 blocks: the blocks stay inside their point's task.
         cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
                                 trials=harness.BLOCK_TRIALS + 1)
         report = run_scenario(cfg, workers=2)
-        (predict, (models,)), (chunk, (block_models, blocks)) = _InProcessPool.mapped
+        [(fn, (cfgs, points))] = _InProcessPool.mapped
         assert _InProcessPool.created == [2]
-        assert predict is harness._predict and chunk is harness._trial_chunk
-        assert [m.point.index for m in models] == [0, 1, 2]
-        assert [m.point.index for m in block_models] == [0, 0, 1, 1, 2, 2]
-        assert blocks == [0, 1, 0, 1, 0, 1]
+        assert fn is harness._point_row
+        assert cfgs == [cfg] * 3
+        assert points == scenario_points(cfg)
+        assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
 
