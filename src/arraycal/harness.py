@@ -124,10 +124,10 @@ class ScenarioConfig:
         if many and (isinstance(value, str) or not hasattr(value, "__iter__")):
             raise ConfigError(f"{name} must be a list, got {value!r}")
         cast, what = (int, "an integer") if kind is numbers.Integral else (float, "a number")
+        label = f"each {name} entry" if many else name
         for v in value if many else (value,):
             if isinstance(v, bool) or not isinstance(v, kind):
-                raise ConfigError(f"{name} {'entries' if many else 'value'} must be {what}, "
-                                  f"got {v!r}")
+                raise ConfigError(f"{label} must be {what}, got {v!r}")
         object.__setattr__(self, name, tuple(map(cast, value)) if many else cast(value))
 
     @classmethod
