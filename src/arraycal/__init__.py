@@ -12,9 +12,8 @@ harness that reproduces the reference accuracy figures.
 
 from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
-from .codes import (BinarySequence, aperiodic_autocorrelation, cyclic_shift,
-                    generate_msequence, msequence_code, periodic_autocorrelation,
-                    to_bipolar, walsh_matrix)
+from .codes import (BinarySequence, generate_msequence, msequence_code,
+                    periodic_autocorrelation, to_bipolar, walsh_matrix)
 from .errors import (ArrayCalError, ConfigError, DimensionError, NegativeRadicand,
                      NonMaximalPolynomial, OffsetError, ReferenceZero, SingularError,
                      UnknownFigure)

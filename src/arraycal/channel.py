@@ -1,5 +1,6 @@
 """Ground-truth element gains, receiver noise, and link-budget bookkeeping."""
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,14 @@ class LinkBudget:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            eirp_dbw=float(d["eirp_dbw"]),
-            path_loss_db=float(d["path_loss_db"]),
-            g_over_t_dbk=float(d["g_over_t_dbk"]),
-            ts_seconds=float(d["ts_seconds"]),
-            kb_dbw_hz_k=float(d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K)),
-        )
+        """Build from a scenario file's ``link_budget`` object; bools and strings are refused."""
+        values = {name: d[name] for name in ("eirp_dbw", "path_loss_db", "g_over_t_dbk",
+                                             "ts_seconds")}
+        values["kb_dbw_hz_k"] = d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K)
+        for name, v in values.items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise TypeError(f"{name} is {v!r}")
+        return cls(**{name: float(v) for name, v in values.items()})
 
 
 def ev_n0_from_link_budget(lb):

@@ -100,12 +100,6 @@ def to_bipolar(seq):
     return (1.0 - 2.0 * bits.astype(np.float64)) / np.sqrt(length)
 
 
-def cyclic_shift(code, shift):
-    """Cyclically delay a code by ``shift`` chips: out[k] = code[(k - shift) mod L]."""
-    code = np.asarray(code)
-    return np.roll(code, int(shift) % code.size)
-
-
 def walsh_matrix(length, count):
     """First ``count`` columns of the order-``length`` Sylvester-Hadamard matrix, scaled 1/sqrt(L).
 
@@ -129,17 +123,6 @@ def periodic_autocorrelation(code, lag):
     if not 0 <= lag < code.size:
         raise DimensionError(f"lag {lag} outside [0, {code.size})")
     return float(np.dot(code, np.roll(code, -int(lag))))
-
-
-def aperiodic_autocorrelation(code, lag):
-    """Linear (non-wrapping) autocorrelation sum_{k>=lag} code[k] * code[k - lag]; 0 once lag >= L."""
-    code = np.asarray(code)
-    if lag < 0:
-        raise DimensionError(f"lag must be nonnegative, got {lag}")
-    if lag >= code.size:
-        return 0.0
-    lag = int(lag)
-    return float(np.dot(code[lag:], code[: code.size - lag]))
 
 
 def msequence_code(length, taps=None):

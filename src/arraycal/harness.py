@@ -5,8 +5,10 @@ the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
 batched pass through that chain.  A grid point is the only task of a
 scenario call: the task that owns it builds its model, predicts, runs its
-blocks and reduces them to its report row, in process or on one pool
-(``run_scenario``).
+blocks and reduces them to its report row.  One runner serves both
+``run_scenario`` and ``reproduce_figure``: it maps the point task over every
+(config, point) pair of the call in report order, in process or on one pool
+per call, capped at the CPU count and at the call's grid points.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -149,7 +151,7 @@ class ScenarioConfig:
                 d["ev_n0_db"] = ev_n0_from_link_budget(LinkBudget.from_dict(d.pop("link_budget")))
             except KeyError as e:
                 raise ConfigError(f"link_budget is missing field {e}") from None
-            except (TypeError, ValueError) as e:
+            except TypeError as e:
                 raise ConfigError(f"link_budget fields must be numbers: {e}") from None
         return cls(**dict(d, scheme=str(d["scheme"]).upper()))
 
@@ -362,18 +364,22 @@ def _point_row(cfg, point):
     )
 
 
-def run_scenario(cfg, workers=1):
-    """Run every grid point of a scenario and report theory next to simulation.
+def _run(configs, workers):
+    """Report rows of every grid point of ``configs``, in report order.
 
-    Each grid point is one task (``_point_row``); the tasks run in process or
-    on one pool of ``min(workers, os.cpu_count(), grid points)`` workers."""
+    Each (config, point) pair is one task (``_point_row``); the tasks run in
+    process or on one pool of ``min(workers, os.cpu_count(), tasks)`` workers."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    points = scenario_points(cfg)
-    workers = min(int(workers), os.cpu_count() or 1, len(points))
+    tasks = [(cfg, point) for cfg in configs for point in scenario_points(cfg)]
+    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        rows = tuple((pool.map if pool else map)(_point_row, [cfg] * len(points), points))
-    return RmseReport(rows=rows)
+        return tuple((pool.map if pool else map)(_point_row, *zip(*tasks)))
+
+
+def run_scenario(cfg, workers=1):
+    """Run every grid point of a scenario and report theory next to simulation."""
+    return RmseReport(rows=_run([cfg], workers))
 
 
 FIGURE_NAMES = ("fig5", "fig6", "fig7", "fig8")
@@ -421,14 +427,11 @@ def reproduce_figure(name, master_seed=DEFAULT_SEED, trials=None, workers=1):
     fig7/fig8: SNR fixed at 30 dB, element count swept up to the code
     length for lengths 127/255/511, with a 512-chip orthogonal benchmark.
     Gain and phase columns are both always present; the two names in
-    each pair map to the same grid.
+    each pair map to the same grid.  All the grid's points share one pool,
+    as in ``run_scenario``.
     """
-    configs = figure_configs(name, master_seed, trials)
-    rows = []
-    for cfg in configs:
-        rows.extend(run_scenario(cfg, workers=workers).rows)
+    rows = _run(figure_configs(name, master_seed, trials), workers)
     grid_desc = ("V=50, OMA L in {64,128,256}, CSMS L in {63,127,255}, EvN0 10..40 dB step 5"
                  if name in ("fig5", "fig6") else
                  "EvN0=30 dB, OMA benchmark L=512, CSMS L in {127,255,511} with V swept to L")
-    return RmseReport(rows=tuple(rows),
-                      comment=f"{name}: {grid_desc}; seed={master_seed}")
+    return RmseReport(rows=rows, comment=f"{name}: {grid_desc}; seed={master_seed}")

@@ -161,15 +161,16 @@ def phase_rmse_theory(amp_v, amp_1, phase_v, phase_1, var_v, var_1, rho):
     """Predicted RMSE (degrees) of one element's phase-mismatch estimate.
 
     Raises ``NegativeRadicand`` when the correlation term overwhelms the
-    variance terms, which only happens far outside the high-SNR regime.
+    variance terms (for any element, given arrays), which only happens far
+    outside the high-SNR regime.
     """
     cosine = np.cos(phase_1 - phase_v)
     cross = rho * np.sqrt(var_1 * var_v) * cosine
     radicand = (var_v / (2.0 * amp_v**2) + var_1 / (2.0 * amp_1**2)
                 - 2.0 * cross / (2.0 * amp_v * amp_1 + cross))
-    if radicand < 0:
+    if np.any(radicand < 0):
         raise NegativeRadicand(
-            f"phase error variance {radicand} < 0: inputs outside the model's regime")
+            f"phase error variance {np.min(radicand)} < 0: inputs outside the model's regime")
     return DEG_PER_RAD * np.sqrt(radicand)
 
 
@@ -183,23 +184,14 @@ def _check_point(gains, stats):
 def closed_form_point(gains, stats):
     """Closed-form (high-SNR) RMSE predictions for elements 2..V.
 
-    Evaluates ``gain_rmse_theory`` and ``phase_rmse_theory`` per element;
-    raises ``NegativeRadicand`` outside the expansion's regime.
+    Evaluates ``gain_rmse_theory`` and ``phase_rmse_theory`` on the element
+    arrays; raises ``NegativeRadicand`` outside the expansion's regime.
     """
     _check_point(gains, stats)
-    amp, phs = gains.amplitudes, gains.phases
-    var = stats.variances
-    gain_db = np.array([
-        gain_rmse_theory(amp[v], amp[0], var[v], var[0],
-                         stats.correlations[v - 1], phs[v], phs[0])
-        for v in range(1, len(gains))
-    ])
-    phase_deg = np.array([
-        phase_rmse_theory(amp[v], amp[0], phs[v], phs[0], var[v], var[0],
-                          stats.correlations[v - 1])
-        for v in range(1, len(gains))
-    ])
-    return TheoryPoint(gain_rmse_db=gain_db, phase_rmse_deg=phase_deg)
+    amp, phs, var, rho = gains.amplitudes, gains.phases, stats.variances, stats.correlations
+    return TheoryPoint(
+        gain_rmse_db=gain_rmse_theory(amp[1:], amp[0], var[1:], var[0], rho, phs[1:], phs[0]),
+        phase_rmse_deg=phase_rmse_theory(amp[1:], amp[0], phs[1:], phs[0], var[1:], var[0], rho))
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,6 +10,9 @@ product here are the plain-definition oracles for those shortcuts.
 chunks.  The library computes the per-element and per-node factors once
 for all elements and must give the same bytes.
 
+``cyclic_shift`` and ``aperiodic_autocorrelation`` are the plain code
+operations the library's FFT stream synthesis and lag sums replace.
+
 The oversampled chip-level waveform model (rectangular chip pulse, chip
 matched filter, chip-rate sampling) shows that the oversampled picture
 collapses to the discrete model, so the library can stay at one sample
@@ -26,6 +29,23 @@ from arraycal.codes import periodic_autocorrelation
 from arraycal.errors import DimensionError
 from arraycal.theory import (QUAD_NODES, QUAD_TAIL, QUAD_WIDTH, _area_terms, _bend, _sinh_rule,
                              _tail_reach)
+
+
+def cyclic_shift(code, shift):
+    """Cyclically delay a code by ``shift`` chips: out[k] = code[(k - shift) mod L]."""
+    code = np.asarray(code)
+    return np.roll(code, int(shift) % code.size)
+
+
+def aperiodic_autocorrelation(code, lag):
+    """Linear (non-wrapping) autocorrelation sum_{k>=lag} code[k] * code[k - lag]; 0 once lag >= L."""
+    code = np.asarray(code)
+    if lag < 0:
+        raise DimensionError(f"lag must be nonnegative, got {lag}")
+    if lag >= code.size:
+        return 0.0
+    lag = int(lag)
+    return float(np.dot(code[lag:], code[: code.size - lag]))
 
 
 def build_correlation_matrix(code, offsets):

@@ -149,7 +149,11 @@ class TestSimulate:
         {"n_elements": None, "snr_grid_db": None, "v_grid": [4],
          "link_budget": {"eirp_dbw": "x", "path_loss_db": 200.0, "g_over_t_dbk": 30.0,
                          "ts_seconds": 1e-3}},
-    ], ids=["trials-str", "snr_grid-number", "v_grid-str", "link_budget-str"])
+        {"n_elements": None, "snr_grid_db": None, "v_grid": [4],
+         "link_budget": {"eirp_dbw": "10", "path_loss_db": 200.0, "g_over_t_dbk": 30.0,
+                         "ts_seconds": 1e-3}},
+    ], ids=["trials-str", "snr_grid-number", "v_grid-str", "link_budget-str",
+            "link_budget-numeric-str"])
     def test_simulate_wrong_typed_field_reports_error(self, capsys, tmp_path, overrides):
         cfg = self.write_config(tmp_path, **overrides)
         code, out, err = run_cli(capsys, "simulate", str(cfg))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from arraycal.codes import (DEFAULT_TAPS, BinarySequence, aperiodic_autocorrelation,
-                            cyclic_shift, default_taps_for_length, generate_msequence,
-                            msequence_code, periodic_autocorrelation, to_bipolar,
-                            walsh_matrix)
+from arraycal.codes import (DEFAULT_TAPS, BinarySequence, default_taps_for_length,
+                            generate_msequence, msequence_code, periodic_autocorrelation,
+                            to_bipolar, walsh_matrix)
 from arraycal.errors import DimensionError, NonMaximalPolynomial
+from oracles import aperiodic_autocorrelation, cyclic_shift
 
 
 def lfsr_by_hand(degree, taps, steps):

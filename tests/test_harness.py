@@ -92,8 +92,16 @@ class TestScenarioConfig:
         ("link_budget", {"eirp_dbw": "x", "path_loss_db": 200.0,
                          "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}),
         ("link_budget", "abc"),
+        ("link_budget", {"eirp_dbw": "10", "path_loss_db": 200.0,
+                         "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}),
+        ("link_budget", {"eirp_dbw": 10.0, "path_loss_db": 200.0,
+                         "g_over_t_dbk": 30.0, "ts_seconds": True}),
+        ("link_budget", {"eirp_dbw": 10.0, "path_loss_db": 200.0,
+                         "g_over_t_dbk": 30.0, "ts_seconds": 1e-3, "kb_dbw_hz_k": "-228"}),
     ], ids=["trials-str", "snr_grid-number", "snr_grid-str", "v_grid-str", "ev_n0-str",
-            "taps-str-entry", "link_budget-str-field", "link_budget-str"])
+            "taps-str-entry", "link_budget-str-field", "link_budget-str",
+            "link_budget-numeric-str-field", "link_budget-bool-field",
+            "link_budget-numeric-str-boltzmann"])
     def test_from_dict_wrong_typed_field_is_config_error(self, field, value):
         if field in ("snr_grid_db", "trials", "taps"):
             raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6, "snr_grid_db": [25.0]}
@@ -431,6 +439,51 @@ class TestPoolDispatch:
         assert points == scenario_points(cfg)
         assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
+
+        # A figure: one pool and one map over every (config, point) pair in report order.
+        monkeypatch.setattr(_InProcessPool, "created", [])
+        monkeypatch.setattr(_InProcessPool, "mapped", [])
+        report = reproduce_figure("fig7", trials=2, workers=2)
+        [(fn, (cfgs, points))] = _InProcessPool.mapped
+        assert _InProcessPool.created == [2]
+        assert fn is harness._point_row
+        assert list(zip(cfgs, points)) == [(c, p) for c in figure_configs("fig7", trials=2)
+                                           for p in scenario_points(c)]
+        assert report.to_csv_text() == reproduce_figure("fig7", trials=2).to_csv_text()
+
+
+# Where perfbench/tracer.py wraps the program: names harness looks up in its own
+# namespace, and the theory functions it calls as ``accuracy.<name>``.
+TRACED_HARNESS_NAMES = ("rng_stream", "complex_awgn", "csms_clean_stream", "csms_peaks",
+                        "zf_equalize", "extract_mismatch", "wrap_degrees", "msequence_code",
+                        "walsh_matrix", "ProcessPoolExecutor")
+TRACED_THEORY_NAMES = ("oma_noise_stats", "csms_peak_noise_cov", "csms_gain_noise_stats",
+                       "theory_point", "average_rmse")
+
+
+def test_figure_run_calls_every_traced_name(monkeypatch):
+    # A name the run stops calling would read 0 in its per-layer benchmark line.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "created", [])
+    monkeypatch.setattr(_InProcessPool, "mapped", [])
+    calls = dict.fromkeys((*TRACED_HARNESS_NAMES, *TRACED_THEORY_NAMES), 0)
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in TRACED_HARNESS_NAMES:
+        count(harness, name)
+    for name in TRACED_THEORY_NAMES:
+        count(harness.accuracy, name)
+    reproduce_figure("fig7", trials=2, workers=2)
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 class TestRunScenario:

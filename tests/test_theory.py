@@ -8,7 +8,7 @@ from scipy.special import exp1
 
 import arraycal
 from arraycal.channel import ElementGains, complex_awgn
-from arraycal.codes import aperiodic_autocorrelation, msequence_code
+from arraycal.codes import msequence_code
 from arraycal.errors import DimensionError, NegativeRadicand
 from arraycal import theory
 from arraycal.harness import PointModel, figure_configs, scenario_points
@@ -17,7 +17,7 @@ from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
                              log_ratio_moments, oma_noise_stats, phase_rmse_theory,
                              theory_point)
-from oracles import dense_gain_noise_cov, log_ratio_moments_by_block
+from oracles import aperiodic_autocorrelation, dense_gain_noise_cov, log_ratio_moments_by_block
 
 
 class TestOmaNoiseStats:
@@ -334,6 +334,38 @@ class TestTheoryPoint:
                                    20.0 / np.log(10.0) * np.sqrt(refined[1]), rtol=1e-3)
         np.testing.assert_allclose(point.phase_rmse_deg,
                                    np.degrees(np.sqrt(refined[2])), rtol=1e-3)
+
+
+class TestClosedFormPointIsElementwise:
+    """``closed_form_point`` on the element arrays gives the bytes of one scalar
+    call per element."""
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_figure_grid_points(self, figure):
+        for cfg in figure_configs(figure, master_seed=1729, trials=1):
+            for point in scenario_points(cfg):
+                model = PointModel.build(cfg, point)
+                amp, phs = model.gains.amplitudes, model.gains.phases
+                stats = model.noise_stats()
+                var, rho = stats.variances, stats.correlations
+                got = closed_form_point(model.gains, stats)
+                gain = [gain_rmse_theory(amp[v], amp[0], var[v], var[0], rho[v - 1],
+                                         phs[v], phs[0]) for v in range(1, len(amp))]
+                phase = [phase_rmse_theory(amp[v], amp[0], phs[v], phs[0], var[v], var[0],
+                                           rho[v - 1]) for v in range(1, len(amp))]
+                assert got.gain_rmse_db.tobytes() == np.array(gain).tobytes()
+                assert got.phase_rmse_deg.tobytes() == np.array(phase).tobytes()
+
+    def test_one_element_outside_the_regime_raises(self):
+        # Element 2 is in the regime; element 3 has test_negative_radicand_raises' inputs.
+        gains = ElementGains(amplitudes=np.ones(3), phases=np.zeros(3))
+        stats = NoiseStats(variances=np.array([3.0, 1e-3, 3.0]),
+                           correlations=np.array([0.0, -1.0]))
+        with pytest.raises(NegativeRadicand):
+            closed_form_point(gains, stats)
+        with pytest.raises(NegativeRadicand):
+            phase_rmse_theory(np.ones(2), 1.0, np.zeros(2), 0.0, np.array([1e-3, 3.0]), 3.0,
+                              np.array([0.0, -1.0]))
 
 
 class TestLogRatioMomentsMatchesBlockOracle:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from arraycal.channel import ElementGains, csms_clean_stream
-from arraycal.codes import cyclic_shift, msequence_code, walsh_matrix
+from arraycal.codes import msequence_code, walsh_matrix
 from arraycal.errors import DimensionError
-from oracles import OversampledWaveform, chip_matched_filter_and_sample, synthesize_baseband
+from oracles import (OversampledWaveform, chip_matched_filter_and_sample, cyclic_shift,
+                     synthesize_baseband)
 
 
 class TestSynthesizeBaseband:
