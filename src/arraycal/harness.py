@@ -7,8 +7,12 @@ batched pass through that chain.  A grid point is the only task of a
 scenario call: the task that owns it builds its model, predicts, runs its
 blocks and reduces them to its report row.  One runner serves both
 ``run_scenario`` and ``reproduce_figure``: it maps the point task over every
-(config, point) pair of the call in report order, in process or on one pool
-per call, capped at the CPU count and at the call's grid points.
+(config, point) pair of the call in report order, in process when the call
+has one task or one worker, otherwise on the process's worker pool.  That
+pool is forked once per process, by the first pooled call, with
+``min(workers, CPU count)`` workers of one BLAS thread each (the calling
+process's BLAS is left alone); later calls of the same size reuse it, and
+its workers are joined at interpreter exit.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -25,13 +29,17 @@ count, and error sums are reduced in fixed trial order.
 """
 
 import csv
+import ctypes
 import io
 import math
 import numbers
 import os
-from contextlib import nullcontext
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
+from multiprocessing.util import Finalize
+from pathlib import Path
 
 import numpy as np
 
@@ -367,14 +375,87 @@ def _point_row(cfg, point):
 def _run(configs, workers):
     """Report rows of every grid point of ``configs``, in report order.
 
-    Each (config, point) pair is one task (``_point_row``); the tasks run in
-    process or on one pool of ``min(workers, os.cpu_count(), tasks)`` workers."""
+    Each (config, point) pair is one task (``_point_row``).  A call of one
+    task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs in process;
+    any other call maps its tasks on this process's pool of that size."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, point) for cfg in configs for point in scenario_points(cfg)]
-    workers = min(int(workers), os.cpu_count() or 1, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        return tuple((pool.map if pool else map)(_point_row, *zip(*tasks)))
+    workers = min(int(workers), os.cpu_count() or 1)
+    if workers == 1 or len(tasks) == 1:
+        return tuple(map(_point_row, *zip(*tasks)))
+    try:
+        with _pool_lock:
+            rows = _worker_pool(workers).map(_point_row, *zip(*tasks))
+        return tuple(rows)
+    except BrokenProcessPool:
+        _close_pool()
+        raise
+
+
+_pool = None  # (workers, ProcessPoolExecutor, its shutdown finalizer); see _worker_pool
+_pool_lock = threading.RLock()
+
+
+def _worker_pool(workers):
+    """This process's pool of ``workers`` workers, forked on first use and kept.
+
+    A call that needs another size shuts the old pool down.  At a normal
+    interpreter exit ``concurrent.futures`` joins the workers.  A
+    ``multiprocessing`` child joins its own children before that handler
+    runs, so the pool is also shut down by a finalizer that runs first (and
+    before the finalizers, at priority 10, that close the pool's queues)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            _close_pool()
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+            _pool = workers, pool, Finalize(pool, pool.shutdown, exitpriority=100)
+        return _pool[1]
+
+
+def _close_pool():
+    """Shut this process's pool down and forget it; the next pooled call starts a new one."""
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None:
+            pool[2]()  # shutdown, once
+
+
+def _forget_pool():
+    # A forked child holds a copy of the parent's pool whose manager thread
+    # and workers are not its own, and possibly a lock held at the fork.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None where numpy has none."""
+    found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(str(found[0]))
+    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        return None
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker.
+
+    After a threaded product OpenBLAS leaves a thread spinning, so workers
+    with their own BLAS threads would over-subscribe the CPUs the pool is
+    sized to.  The calling process keeps its BLAS setting."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def run_scenario(cfg, workers=1):
@@ -427,8 +508,8 @@ def reproduce_figure(name, master_seed=DEFAULT_SEED, trials=None, workers=1):
     fig7/fig8: SNR fixed at 30 dB, element count swept up to the code
     length for lengths 127/255/511, with a 512-chip orthogonal benchmark.
     Gain and phase columns are both always present; the two names in
-    each pair map to the same grid.  All the grid's points share one pool,
-    as in ``run_scenario``.
+    each pair map to the same grid.  All the grid's points are one call on
+    the process's pool, as in ``run_scenario``.
     """
     rows = _run(figure_configs(name, master_seed, trials), workers)
     grid_desc = ("V=50, OMA L in {64,128,256}, CSMS L in {63,127,255}, EvN0 10..40 dB step 5"

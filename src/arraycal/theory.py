@@ -252,6 +252,19 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QU
     """
     t1, tv, rho, dphi = (np.ravel(a).astype(np.float64)
                          for a in np.broadcast_arrays(snr_inv_1, snr_inv_v, rho, dphi))
+    # With rho = 0 a finite dphi enters only through terms multiplied by q = 0,
+    # so it is set to 0; then each distinct input row is integrated once.  Rows
+    # are keyed by their bytes, which sorts several times faster than axis=0.
+    dphi = np.where((rho == 0) & np.isfinite(dphi), 0.0, dphi)
+    rows = np.stack((t1, tv, rho, dphi), axis=1)
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+                                  return_index=True, return_inverse=True)
+    t1, tv, rho, dphi = np.ascontiguousarray(rows[first].T)
+    return _log_ratio_moments(t1, tv, rho, dphi, nodes, tail)[:, inverse]
+
+
+def _log_ratio_moments(t1, tv, rho, dphi, nodes, tail):
+    """``log_ratio_moments`` of flat float64 element arrays."""
     # Work with the normalized errors n_1/mu_1 and n_v/mu_v: unit means,
     # cross-covariance kappa = rho*sqrt(t1*tv)*exp(-i*dphi).  For
     # r = exp(u + i*theta), with A = det(Sigma) a and m = mu^H adj(Sigma) mu,

@@ -1,7 +1,12 @@
+import ctypes.util
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -354,34 +359,45 @@ class TestSingleChain:
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and each map's
-    function and arguments, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, each map's
+    function and arguments and each shutdown, maps in process."""
 
     created = []
     mapped = []
+    shut_down = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
+        self.max_workers = max_workers
         self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def map(self, fn, *iterables):
         args = [list(it) for it in iterables]
         self.mapped.append((fn, args))
         return map(fn, *args)
 
+    def shutdown(self, wait=True):
+        self.shut_down.append(self.max_workers)
+
+
+@pytest.fixture
+def fresh_pool():
+    """No cached pool before or after the test: a pool forked earlier keeps the
+    module state it was forked with, and a fake pool must not outlive its patch."""
+    harness._close_pool()
+    yield
+    harness._close_pool()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch, fresh_pool):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "created", [])
+    monkeypatch.setattr(_InProcessPool, "mapped", [])
+    monkeypatch.setattr(_InProcessPool, "shut_down", [])
+    return _InProcessPool.created
+
 
 class TestWorkerCap:
-    @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
-        _InProcessPool.created = []
-        return _InProcessPool.created
-
     def test_workers_capped_at_cpu_count(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         # 4 points: the CPU count, not the point count, caps the pool.
@@ -390,14 +406,23 @@ class TestWorkerCap:
         assert fake_pool == [3]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
-    @pytest.mark.parametrize("workers, expected", [(16, 6), (2, 2)])
+    @pytest.mark.parametrize("workers, expected", [(16, 8), (2, 2)])
     def test_one_pool_per_scenario_call(self, monkeypatch, fake_pool, workers, expected):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        # 6 points of 2 blocks each: the point count caps the pool, blocks do not count.
+        # 6 points of 2 blocks each: the pool has min(workers, cpu_count) workers;
+        # neither points nor blocks cap it, so later calls of any size can reuse it.
         cfg = small_csms_config(snr_grid_db=(10.0, 15.0, 20.0, 25.0, 30.0, 35.0),
                                 trials=harness.BLOCK_TRIALS + 1)
         run_scenario(cfg, workers=workers)
         assert fake_pool == [expected]
+
+    def test_pool_is_kept_until_another_size_is_needed(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
+        for workers in (2, 2, 1, 3, 3, 16, 8):
+            run_scenario(cfg, workers=workers)
+        assert fake_pool == [2, 3, 8]
+        assert _InProcessPool.shut_down == [2, 3]
 
     def test_one_point_of_many_blocks_runs_in_process(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
@@ -423,11 +448,8 @@ class TestWorkerCap:
 
 
 class TestPoolDispatch:
-    def test_points_are_the_only_tasks(self, monkeypatch):
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
+    def test_points_are_the_only_tasks(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(_InProcessPool, "created", [])
-        monkeypatch.setattr(_InProcessPool, "mapped", [])
         # 3 points x 2 blocks: the blocks stay inside their point's task.
         cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
                                 trials=harness.BLOCK_TRIALS + 1)
@@ -440,8 +462,7 @@ class TestPoolDispatch:
         assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
-        # A figure: one pool and one map over every (config, point) pair in report order.
-        monkeypatch.setattr(_InProcessPool, "created", [])
+        # A figure: one map over every (config, point) pair in report order, on the same pool.
         monkeypatch.setattr(_InProcessPool, "mapped", [])
         report = reproduce_figure("fig7", trials=2, workers=2)
         [(fn, (cfgs, points))] = _InProcessPool.mapped
@@ -450,6 +471,111 @@ class TestPoolDispatch:
         assert list(zip(cfgs, points)) == [(c, p) for c in figure_configs("fig7", trials=2)
                                            for p in scenario_points(c)]
         assert report.to_csv_text() == reproduce_figure("fig7", trials=2).to_csv_text()
+
+
+def _worker_blas_threads():
+    return harness._openblas().scipy_openblas_get_num_threads64_()
+
+
+def _write_report(cfg, path):
+    path.write_text(run_scenario(cfg, workers=2).to_csv_text())
+
+
+# Prints the pids of the process's pool workers, which tasks report, after a
+# pooled call through the library or the CLI.
+POOL_PIDS_SCRIPT = """
+import os, sys
+os.cpu_count = lambda: 2
+from arraycal import ScenarioConfig, cli, harness, run_scenario
+if sys.argv[1] == "cli":
+    code = cli.main(["reproduce", "fig7", "--trials", "2", "--workers", "2", "--out", os.devnull])
+else:
+    code = 0
+    run_scenario(ScenarioConfig(scheme="CSMS", code_length=63, n_elements=4,
+                                snr_grid_db=(20.0, 30.0), trials=8), workers=2)
+pool = harness._pool[1]
+print(*({pool.submit(os.getpid).result() for _ in range(8)} | set(pool._processes)))
+sys.exit(code)
+"""
+
+
+class TestWorkerPool:
+    """The real pool: forked once per process, reused, one BLAS thread per worker."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    def test_consecutive_calls_start_one_pool(self, monkeypatch):
+        started = []
+        real = harness.ProcessPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", counted)
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), trials=8)
+        first = run_scenario(cfg, workers=2).to_csv_text()
+        assert run_scenario(cfg, workers=2).to_csv_text() == first
+        assert started == [2]
+
+    @pytest.mark.parametrize("entry", ["library", "cli"])
+    def test_workers_gone_after_interpreter_exit(self, entry):
+        child = _run_child(POOL_PIDS_SCRIPT, entry)
+        assert child.returncode == 0, child.stderr
+        pids = [int(pid) for pid in child.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_killed_worker_fails_one_call(self):
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), trials=8)
+        expected = run_scenario(cfg, workers=2).to_csv_text()
+        broken = harness._pool[1]
+        os.kill(broken.submit(os.getpid).result(), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not broken._broken:  # until the pool has seen its worker die
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            run_scenario(cfg, workers=2)
+        assert harness._pool is None
+        assert run_scenario(cfg, workers=2).to_csv_text() == expected
+        assert harness._pool[1] is not broken
+
+    def test_forked_child_starts_its_own_pool(self, tmp_path):
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), trials=8)
+        expected = run_scenario(cfg, workers=2).to_csv_text()
+        child = multiprocessing.get_context("fork").Process(
+            target=_write_report, args=(cfg, tmp_path / "child.csv"))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        assert (tmp_path / "child.csv").read_text() == expected
+
+    @pytest.mark.skipif(harness._openblas() is None, reason="numpy has no bundled OpenBLAS")
+    def test_workers_run_one_blas_thread(self):
+        lib = harness._openblas()
+        before = lib.scipy_openblas_get_num_threads64_()
+        run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8), workers=2)
+        pool = harness._pool[1]
+        assert {pool.submit(_worker_blas_threads).result() for _ in range(8)} == {1}
+        assert lib.scipy_openblas_get_num_threads64_() == before
+
+    @pytest.mark.parametrize("found", [[], [ctypes.util.find_library("c") or "libc.so.6"]],
+                             ids=["no-library", "no-symbol"])
+    def test_missing_blas_library_is_not_an_error(self, monkeypatch, found):
+        monkeypatch.setattr(harness.Path, "glob", lambda self, pattern: iter(found))
+        assert harness._openblas() is None
+        harness._one_blas_thread()
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
+        assert run_scenario(cfg, workers=2).to_csv_text() == \
+            run_scenario(cfg, workers=1).to_csv_text()
 
 
 # Where perfbench/tracer.py wraps the program: names harness looks up in its own
@@ -461,12 +587,9 @@ TRACED_THEORY_NAMES = ("oma_noise_stats", "csms_peak_noise_cov", "csms_gain_nois
                        "theory_point", "average_rmse")
 
 
-def test_figure_run_calls_every_traced_name(monkeypatch):
+def test_figure_run_calls_every_traced_name(monkeypatch, fake_pool):
     # A name the run stops calling would read 0 in its per-layer benchmark line.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(_InProcessPool, "created", [])
-    monkeypatch.setattr(_InProcessPool, "mapped", [])
     calls = dict.fromkeys((*TRACED_HARNESS_NAMES, *TRACED_THEORY_NAMES), 0)
 
     def count(owner, name):
@@ -662,11 +785,16 @@ assert "scipy" not in sys.modules
 """
 
 
-def test_scenarios_run_without_scipy():
-    # A child interpreter, so that no module this test process loaded counts.
+def _run_child(script, *args):
+    """Run ``script`` in a child interpreter that imports this checkout's arraycal."""
     src = os.path.dirname(os.path.dirname(arraycal.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
-                           capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scenarios_run_without_scipy():
+    # A child interpreter, so that no module this test process loaded counts.
+    child = _run_child(NO_SCIPY_SCRIPT)
     assert child.returncode == 0, child.stderr
