@@ -257,7 +257,7 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QU
     # are keyed by their bytes, which sorts several times faster than axis=0.
     dphi = np.where((rho == 0) & np.isfinite(dphi), 0.0, dphi)
     rows = np.stack((t1, tv, rho, dphi), axis=1)
-    _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows[0].nbytes))).ravel(),
+    _, first, inverse = np.unique(rows.view(np.dtype((np.void, 4 * rows.itemsize))).ravel(),
                                   return_index=True, return_inverse=True)
     t1, tv, rho, dphi = np.ascontiguousarray(rows[first].T)
     return _log_ratio_moments(t1, tv, rho, dphi, nodes, tail)[:, inverse]

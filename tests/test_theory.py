@@ -411,6 +411,23 @@ class TestLogRatioMomentsMatchesBlockOracle:
                                np.array([0.3, 1.0, 2.5]), nodes=96, tail=1e-12)
 
 
+class TestLogRatioMomentsDedup:
+    """Repeated rows, and rows whose dphi is moot because rho = 0, are integrated
+    once; the oracle integrates every row."""
+
+    @pytest.mark.parametrize("dphi", [np.array([0.3, -2.0, 0.3, np.nan, np.inf, -0.0]),
+                                      np.zeros(6)], ids=["mixed", "zero"])
+    def test_repeated_and_uncorrelated_rows(self, dphi):
+        tv = np.array([0.1, 0.1, 0.1, 0.1, 0.1, 0.05])
+        rho = np.array([0.0, 0.0, 0.4, 0.0, 0.0, -0.0])
+        with np.errstate(invalid="ignore"):  # sin and cos of the infinite dphi
+            expected = log_ratio_moments_by_block(0.02, tv, rho, dphi)
+            assert log_ratio_moments(0.02, tv, rho, dphi).tobytes() == expected.tobytes()
+
+    def test_no_elements(self):
+        assert log_ratio_moments(0.1, np.zeros(0), np.zeros(0), np.zeros(0)).shape == (3, 0)
+
+
 class TestAverageRmse:
     def test_identical_values(self):
         assert average_rmse(np.array([0.4, 0.4, 0.4])) == pytest.approx(0.4)
