@@ -10,9 +10,12 @@ blocks and reduces them to its report row.  One runner serves both
 (config, point) pair of the call in report order, in process when the call
 has one task or one worker, otherwise on the process's worker pool.  That
 pool is forked once per process, by the first pooled call, with
-``min(workers, CPU count)`` workers of one BLAS thread each (the calling
-process's BLAS is left alone); later calls of the same size reuse it, and
-its workers are joined at interpreter exit.
+``min(workers, CPU count)`` workers of one BLAS thread each; later calls
+of the same size reuse it, and its workers are joined at interpreter exit
+or exit by themselves when the calling process dies.  The calling process
+is held at one BLAS thread for the whole call, on either path, and gets its
+previous count back afterwards; for that long its other threads see one
+BLAS thread too.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -28,13 +31,16 @@ last, partial block.  Neither trials nor blocks depend on the worker
 count, and error sums are reduced in fixed trial order.
 """
 
+import contextlib
 import csv
 import ctypes
+import functools
 import io
 import math
 import numbers
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -377,20 +383,24 @@ def _run(configs, workers):
 
     Each (config, point) pair is one task (``_point_row``).  A call of one
     task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs in process;
-    any other call maps its tasks on this process's pool of that size."""
+    any other call maps its tasks on this process's pool of that size.  The
+    calling process runs the call at one BLAS thread."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ConfigError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, point) for cfg in configs for point in scenario_points(cfg)]
     workers = min(int(workers), os.cpu_count() or 1)
-    if workers == 1 or len(tasks) == 1:
-        return tuple(map(_point_row, *zip(*tasks)))
-    try:
-        with _pool_lock:
-            rows = _worker_pool(workers).map(_point_row, *zip(*tasks))
-        return tuple(rows)
-    except BrokenProcessPool:
-        _close_pool()
-        raise
+    with _one_caller_blas_thread():
+        if workers == 1 or len(tasks) == 1:
+            return tuple(map(_point_row, *zip(*tasks)))
+        try:
+            with _pool_lock:
+                rows = _worker_pool(workers).map(_point_row, *zip(*tasks))
+            return tuple(rows)
+        except BrokenProcessPool:
+            _close_pool()
+            raise
 
 
 _pool = None  # (workers, ProcessPoolExecutor, its shutdown finalizer); see _worker_pool
@@ -409,7 +419,7 @@ def _worker_pool(workers):
     with _pool_lock:
         if _pool is None or _pool[0] != workers:
             _close_pool()
-            pool = ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread)
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
             _pool = workers, pool, Finalize(pool, pool.shutdown, exitpriority=100)
         return _pool[1]
 
@@ -425,37 +435,89 @@ def _close_pool():
 
 def _forget_pool():
     # A forked child holds a copy of the parent's pool whose manager thread
-    # and workers are not its own, and possibly a lock held at the fork.
-    global _pool, _pool_lock
+    # and workers are not its own, and possibly locks held at the fork; it
+    # has made no call of its own, so no BLAS count is saved for it.
+    global _pool, _pool_lock, _blas_lock, _blas_depth, _blas_saved
     _pool, _pool_lock = None, threading.RLock()
+    _blas_lock, _blas_depth, _blas_saved = threading.Lock(), 0, None
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+@functools.cache
 def _openblas():
     """numpy's bundled OpenBLAS library, or None where numpy has none."""
     found = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"))
     if not found:
         return None
     lib = ctypes.CDLL(str(found[0]))
-    if not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+    if not all(hasattr(lib, f"scipy_openblas_{op}_num_threads64_") for op in ("get", "set")):
         return None
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
     lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
     lib.scipy_openblas_set_num_threads64_.restype = None
     return lib
 
 
-def _one_blas_thread():
-    """Pool initializer: one BLAS thread per worker.
+def _set_blas_threads(n):
+    """Set this process's OpenBLAS thread count to ``n`` and return the count it
+    had, or do nothing and return None where numpy has no bundled OpenBLAS.
 
-    After a threaded product OpenBLAS leaves a thread spinning, so workers
-    with their own BLAS threads would over-subscribe the CPUs the pool is
-    sized to.  The calling process keeps its BLAS setting."""
+    After a threaded product OpenBLAS leaves its threads spinning, so a
+    process that keeps several would take CPUs from the pool's workers."""
     lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(n)
+    return previous
+
+
+# Guards the two below; not _pool_lock, which would serialize in-process calls.
+_blas_lock = threading.Lock()
+_blas_depth = 0     # _run calls of this process inside _one_caller_blas_thread
+_blas_saved = None  # the BLAS thread count before the outermost of them
+
+
+@contextlib.contextmanager
+def _one_caller_blas_thread():
+    """Hold this process at one BLAS thread while any ``_run`` call is inside.
+
+    The first call to enter saves the count and the last to leave restores
+    it, also when a task raises, so nested and concurrent calls compose."""
+    global _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = _set_blas_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0 and _blas_saved is not None:
+                _set_blas_threads(_blas_saved)
+
+
+def _init_worker():
+    """Pool initializer: one BLAS thread, and exit when the calling process dies.
+
+    A worker whose caller was killed would otherwise wait on its call queue
+    forever.  The parent is polled rather than watched with
+    ``PR_SET_PDEATHSIG``, which fires when the thread that forked the worker
+    exits, and that can be any thread that made a pooled call."""
+    _set_blas_threads(1)
+    parent = os.getppid()
+
+    def exit_with_parent():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(0)
+
+    threading.Thread(target=exit_with_parent, name="exit-with-parent", daemon=True).start()
 
 
 def run_scenario(cfg, workers=1):

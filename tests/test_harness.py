@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -431,10 +432,18 @@ class TestWorkerCap:
         assert fake_pool == []
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
-    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("workers", [0, -1, 2.7, 1.0, True, False, "2", None])
     def test_workers_below_one_rejected(self, workers):
+        # Neither below one nor anything but an integer: 2.7 is not 2 workers, True not 1.
         with pytest.raises(ConfigError, match="workers"):
             run_scenario(small_csms_config(trials=8), workers=workers)
+
+    def test_numpy_integer_workers_accepted(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
+        assert run_scenario(cfg, workers=np.int64(2)).to_csv_text() == \
+            run_scenario(cfg, workers=1).to_csv_text()
+        assert fake_pool == [2]
 
     def test_single_task_runs_in_process(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
@@ -482,9 +491,9 @@ def _write_report(cfg, path):
 
 
 # Prints the pids of the process's pool workers, which tasks report, after a
-# pooled call through the library or the CLI.
+# pooled call through the library or the CLI; with "wait", then waits to be killed.
 POOL_PIDS_SCRIPT = """
-import os, sys
+import os, sys, time
 os.cpu_count = lambda: 2
 from arraycal import ScenarioConfig, cli, harness, run_scenario
 if sys.argv[1] == "cli":
@@ -494,9 +503,26 @@ else:
     run_scenario(ScenarioConfig(scheme="CSMS", code_length=63, n_elements=4,
                                 snr_grid_db=(20.0, 30.0), trials=8), workers=2)
 pool = harness._pool[1]
-print(*({pool.submit(os.getpid).result() for _ in range(8)} | set(pool._processes)))
+print(*({pool.submit(os.getpid).result() for _ in range(8)} | set(pool._processes)), flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(600)
 sys.exit(code)
 """
+
+
+def _alive(pid):
+    """Whether process ``pid`` runs; a zombie that nobody reaps does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    if not os.path.isdir("/proc"):  # a zombie cannot be told apart
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestWorkerPool:
@@ -529,6 +555,32 @@ class TestWorkerPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_workers_exit_when_the_caller_is_killed(self, tmp_path):
+        # Files, not pipes: a worker that outlived the child would hold a pipe open.
+        out, err = tmp_path / "out", tmp_path / "err"
+        with open(out, "w") as stdout, open(err, "w") as stderr:
+            child = subprocess.Popen([sys.executable, "-c", POOL_PIDS_SCRIPT, "wait"],
+                                     env=_child_env(), stdout=stdout, stderr=stderr)
+        pids = []
+        try:
+            deadline = time.monotonic() + 120
+            while not out.read_text().endswith("\n") and child.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            pids = [int(pid) for pid in out.read_text().split()]
+            assert len(pids) == 2, err.read_text()
+            child.kill()
+            child.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            child.kill()
+            child.wait()
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_killed_worker_fails_one_call(self):
         cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), trials=8)
@@ -570,12 +622,141 @@ class TestWorkerPool:
     @pytest.mark.parametrize("found", [[], [ctypes.util.find_library("c") or "libc.so.6"]],
                              ids=["no-library", "no-symbol"])
     def test_missing_blas_library_is_not_an_error(self, monkeypatch, found):
-        monkeypatch.setattr(harness.Path, "glob", lambda self, pattern: iter(found))
-        assert harness._openblas() is None
-        harness._one_blas_thread()
-        cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
-        assert run_scenario(cfg, workers=2).to_csv_text() == \
-            run_scenario(cfg, workers=1).to_csv_text()
+        harness._openblas.cache_clear()  # the library found before is remembered
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(harness.Path, "glob", lambda self, pattern: iter(found))
+                assert harness._openblas() is None
+                assert harness._set_blas_threads(1) is None
+                cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
+                assert run_scenario(cfg, workers=2).to_csv_text() == \
+                    run_scenario(cfg, workers=1).to_csv_text()
+        finally:
+            harness._openblas.cache_clear()
+
+
+# An OMA scenario through the in-process path, whose receiver is a BLAS product;
+# the caller's BLAS thread count must be the same after the call as before it.
+OMA_CSV_SCRIPT = """
+from arraycal import ScenarioConfig, harness, run_scenario
+before = harness._openblas().scipy_openblas_get_num_threads64_()
+cfg = ScenarioConfig(scheme="OMA", code_length=256, n_elements=50,
+                     snr_grid_db=(10.0, 30.0), trials=200)
+print(run_scenario(cfg, workers=1).to_csv_text(), end="")
+assert harness._openblas().scipy_openblas_get_num_threads64_() == before
+"""
+
+
+@pytest.mark.skipif(harness._openblas() is None, reason="numpy has no bundled OpenBLAS")
+class TestCallerBlasThreads:
+    """The calling process runs each call at one BLAS thread and gets its count back."""
+
+    @pytest.fixture(autouse=True)
+    def two_blas_threads(self):
+        # A count other than 1, so that a count left at 1 shows.
+        previous = harness._set_blas_threads(2)
+        yield
+        harness._set_blas_threads(previous)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The BLAS thread counts that tasks see, one per task."""
+        counts = []
+        point_row = harness._point_row
+
+        def recording(cfg, point):
+            counts.append(_worker_blas_threads())
+            return point_row(cfg, point)
+
+        monkeypatch.setattr(harness, "_point_row", recording)
+        return counts
+
+    def test_in_process_tasks_see_one_thread(self, seen):
+        run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8), workers=1)
+        run_scenario(small_csms_config(trials=8), workers=4)  # one task: in process
+        assert seen == [1, 1, 1]
+        assert _worker_blas_threads() == 2
+
+    def test_pooled_call_holds_the_caller(self, monkeypatch, fake_pool, seen):
+        # The fake pool maps in the calling process, as the caller sees it on the pooled path.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8), workers=2)
+        assert fake_pool == [2]
+        assert seen == [1, 1]
+        assert _worker_blas_threads() == 2
+
+    def test_count_restored_when_a_task_raises(self, monkeypatch):
+        def failing(cfg, point):
+            raise RuntimeError(f"task saw {_worker_blas_threads()} BLAS threads")
+
+        monkeypatch.setattr(harness, "_point_row", failing)
+        with pytest.raises(RuntimeError, match="task saw 1 BLAS threads"):
+            run_scenario(small_csms_config(trials=8))
+        assert _worker_blas_threads() == 2
+
+    def test_count_restored_after_concurrent_calls(self, monkeypatch):
+        # Both calls enter before either leaves; the second still sees one thread
+        # after the first has left, and the count comes back when both have left.
+        inside, first_left = threading.Barrier(2, timeout=60), threading.Event()
+        point_row, seen, reports = harness._point_row, {}, []
+
+        def meeting(cfg, point):
+            inside.wait()
+            name = threading.current_thread().name
+            if name == "second":
+                assert first_left.wait(60)
+            seen[name] = _worker_blas_threads()
+            return point_row(cfg, point)
+
+        def call():
+            reports.append(run_scenario(cfg).to_csv_text())
+            if threading.current_thread().name == "first":
+                first_left.set()
+
+        monkeypatch.setattr(harness, "_point_row", meeting)
+        cfg = small_csms_config(trials=8)
+        threads = [threading.Thread(target=call, name=name) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+        assert seen == {"first": 1, "second": 1}
+        assert len(reports) == 2 and reports[0] == reports[1]
+        assert _worker_blas_threads() == 2
+
+    def test_many_threads_many_calls(self, seen):
+        # More threads than CPUs and frequent switches: a lost update of the
+        # depth would restore the count under a running call or not at all.
+        cfg, reports = small_csms_config(trials=8), []
+
+        def calls():
+            reports.extend(run_scenario(cfg).to_csv_text() for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(reports) == 40 and len(set(reports)) == 1
+        assert seen == [1] * 40
+        assert _worker_blas_threads() == 2
+
+    def test_oma_bytes_independent_of_caller_blas_threads(self):
+        # The thread count is set only in the environment of the children.
+        outputs = []
+        for threads in ("1", "2"):
+            child = _run_child(OMA_CSV_SCRIPT, OPENBLAS_NUM_THREADS=threads)
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
 
 # Where perfbench/tracer.py wraps the program: names harness looks up in its own
@@ -785,12 +966,17 @@ assert "scipy" not in sys.modules
 """
 
 
-def _run_child(script, *args):
-    """Run ``script`` in a child interpreter that imports this checkout's arraycal."""
+def _child_env(**extra):
+    """This environment plus ``extra``, with this checkout's arraycal on the path."""
     src = os.path.dirname(os.path.dirname(arraycal.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return env
+
+
+def _run_child(script, *args, **env):
+    """Run ``script`` in a child interpreter that imports this checkout's arraycal."""
+    return subprocess.run([sys.executable, "-c", script, *args], env=_child_env(**env),
                           capture_output=True, text=True, timeout=120)
 
 
