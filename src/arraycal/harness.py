@@ -12,10 +12,10 @@ has one task or one worker, otherwise on the process's worker pool.  That
 pool is forked once per process, by the first pooled call, with
 ``min(workers, CPU count)`` workers of one BLAS thread each; later calls
 of the same size reuse it, and its workers are joined at interpreter exit
-or exit by themselves when the calling process dies.  The calling process
-is held at one BLAS thread for the whole call, on either path, and gets its
-previous count back afterwards; for that long its other threads see one
-BLAS thread too.
+or exit by themselves when the calling process dies.  A process runs one
+call at a time, under one re-entrant lock that a nested call re-enters;
+the call holds the calling process at one BLAS thread, on either path, and
+gives its previous count back afterwards.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  The per-point channel phases come from a generator seeded
@@ -31,7 +31,6 @@ last, partial block.  Neither trials nor blocks depend on the worker
 count, and error sums are reduced in fixed trial order.
 """
 
-import contextlib
 import csv
 import ctypes
 import functools
@@ -384,27 +383,32 @@ def _run(configs, workers):
     Each (config, point) pair is one task (``_point_row``).  A call of one
     task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs in process;
     any other call maps its tasks on this process's pool of that size.  The
-    calling process runs the call at one BLAS thread."""
+    call holds ``_lock`` throughout, so calls from several threads run one
+    after another, and runs at one BLAS thread in the calling process; the
+    previous count comes back when it leaves, also when a task raises."""
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
         raise ConfigError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(cfg, point) for cfg in configs for point in scenario_points(cfg)]
     workers = min(int(workers), os.cpu_count() or 1)
-    with _one_caller_blas_thread():
-        if workers == 1 or len(tasks) == 1:
-            return tuple(map(_point_row, *zip(*tasks)))
+    with _lock:
+        blas = _set_blas_threads(1)
         try:
-            with _pool_lock:
-                rows = _worker_pool(workers).map(_point_row, *zip(*tasks))
-            return tuple(rows)
-        except BrokenProcessPool:
-            _close_pool()
-            raise
+            if workers == 1 or len(tasks) == 1:
+                return tuple(map(_point_row, *zip(*tasks)))
+            try:
+                return tuple(_worker_pool(workers).map(_point_row, *zip(*tasks)))
+            except BrokenProcessPool:
+                _close_pool()
+                raise
+        finally:
+            if blas is not None:
+                _set_blas_threads(blas)
 
 
 _pool = None  # (workers, ProcessPoolExecutor, its shutdown finalizer); see _worker_pool
-_pool_lock = threading.RLock()
+_lock = threading.RLock()  # one call at a time per process; a nested call re-enters
 
 
 def _worker_pool(workers):
@@ -416,7 +420,7 @@ def _worker_pool(workers):
     runs, so the pool is also shut down by a finalizer that runs first (and
     before the finalizers, at priority 10, that close the pool's queues)."""
     global _pool
-    with _pool_lock:
+    with _lock:
         if _pool is None or _pool[0] != workers:
             _close_pool()
             pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker)
@@ -427,7 +431,7 @@ def _worker_pool(workers):
 def _close_pool():
     """Shut this process's pool down and forget it; the next pooled call starts a new one."""
     global _pool
-    with _pool_lock:
+    with _lock:
         pool, _pool = _pool, None
         if pool is not None:
             pool[2]()  # shutdown, once
@@ -435,11 +439,9 @@ def _close_pool():
 
 def _forget_pool():
     # A forked child holds a copy of the parent's pool whose manager thread
-    # and workers are not its own, and possibly locks held at the fork; it
-    # has made no call of its own, so no BLAS count is saved for it.
-    global _pool, _pool_lock, _blas_lock, _blas_depth, _blas_saved
-    _pool, _pool_lock = None, threading.RLock()
-    _blas_lock, _blas_depth, _blas_saved = threading.Lock(), 0, None
+    # and workers are not its own, and possibly a lock held at the fork.
+    global _pool, _lock
+    _pool, _lock = None, threading.RLock()
 
 
 if hasattr(os, "register_at_fork"):  # not on Windows, which cannot fork
@@ -476,32 +478,6 @@ def _set_blas_threads(n):
     return previous
 
 
-# Guards the two below; not _pool_lock, which would serialize in-process calls.
-_blas_lock = threading.Lock()
-_blas_depth = 0     # _run calls of this process inside _one_caller_blas_thread
-_blas_saved = None  # the BLAS thread count before the outermost of them
-
-
-@contextlib.contextmanager
-def _one_caller_blas_thread():
-    """Hold this process at one BLAS thread while any ``_run`` call is inside.
-
-    The first call to enter saves the count and the last to leave restores
-    it, also when a task raises, so nested and concurrent calls compose."""
-    global _blas_depth, _blas_saved
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = _set_blas_threads(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0 and _blas_saved is not None:
-                _set_blas_threads(_blas_saved)
-
-
 def _init_worker():
     """Pool initializer: one BLAS thread, and exit when the calling process dies.
 
@@ -531,11 +507,10 @@ _SWEEP_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 0.95)
 
 
 def _fig56_configs(master_seed, trials):
-    t = trials or DEFAULT_TRIALS
     layout = [("OMA", 64), ("OMA", 128), ("OMA", 256),
               ("CSMS", 63), ("CSMS", 127), ("CSMS", 255)]
     return [ScenarioConfig(scheme=s, code_length=l, n_elements=50,
-                           snr_grid_db=_SNR_SWEEP, trials=t, master_seed=master_seed)
+                           snr_grid_db=_SNR_SWEEP, trials=trials, master_seed=master_seed)
             for s, l in layout]
 
 
@@ -549,12 +524,13 @@ def _v_sweep(code_length):
 def _fig78_configs(master_seed, trials):
     layout = [("OMA", 512, (50,))] + [("CSMS", l, _v_sweep(l)) for l in (127, 255, 511)]
     return [ScenarioConfig(scheme=s, code_length=l, v_grid=vs, ev_n0_db=30.0,
-                           trials=trials or DEFAULT_TRIALS, master_seed=master_seed)
+                           trials=trials, master_seed=master_seed)
             for s, l, vs in layout]
 
 
 def figure_configs(name, master_seed=DEFAULT_SEED, trials=None):
     """Scenario list behind a figure grid; fig5/fig6 and fig7/fig8 share grids."""
+    trials = DEFAULT_TRIALS if trials is None else trials
     if name in ("fig5", "fig6"):
         return _fig56_configs(master_seed, trials)
     if name in ("fig7", "fig8"):

@@ -200,6 +200,12 @@ class TestReproduce:
         assert lines[1].startswith("scheme,V,L,")
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_reproduce_trials_below_one_reports_error(self, capsys, trials):
+        code, out, err = run_cli(capsys, "reproduce", "fig5", "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == "error: trials must be >= 1\n"
+
     def test_reproduce_rejects_unknown(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "fig12"])

@@ -695,39 +695,65 @@ class TestCallerBlasThreads:
         assert _worker_blas_threads() == 2
 
     def test_count_restored_after_concurrent_calls(self, monkeypatch):
-        # Both calls enter before either leaves; the second still sees one thread
-        # after the first has left, and the count comes back when both have left.
-        inside, first_left = threading.Barrier(2, timeout=60), threading.Event()
-        point_row, seen, reports = harness._point_row, {}, []
+        # Calls from two threads run one after the other: the second call,
+        # made while the first one's task waits, enters no task until the
+        # first call has left.
+        first_inside, second_calling = threading.Event(), threading.Event()
+        point_row, log, reports = harness._point_row, [], {}
 
-        def meeting(cfg, point):
-            inside.wait()
+        def recording(cfg, point):
             name = threading.current_thread().name
-            if name == "second":
-                assert first_left.wait(60)
-            seen[name] = _worker_blas_threads()
-            return point_row(cfg, point)
+            log.append((name, "enter", _worker_blas_threads()))
+            if name == "first" and point.index == 0:
+                first_inside.set()
+                assert second_calling.wait(60)
+                time.sleep(0.1)  # time for the second call to reach a task
+            row = point_row(cfg, point)
+            log.append((name, "leave"))
+            return row
 
         def call():
-            reports.append(run_scenario(cfg).to_csv_text())
-            if threading.current_thread().name == "first":
-                first_left.set()
+            name = threading.current_thread().name
+            if name == "second":
+                second_calling.set()
+            reports[name] = run_scenario(cfg).to_csv_text()
 
-        monkeypatch.setattr(harness, "_point_row", meeting)
-        cfg = small_csms_config(trials=8)
-        threads = [threading.Thread(target=call, name=name) for name in ("first", "second")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
+        monkeypatch.setattr(harness, "_point_row", recording)
+        cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
+        first, second = (threading.Thread(target=call, name=name) for name in ("first", "second"))
+        first.start()
+        assert first_inside.wait(60)
+        second.start()
+        for thread in (first, second):
             thread.join(120)
             assert not thread.is_alive()
-        assert seen == {"first": 1, "second": 1}
-        assert len(reports) == 2 and reports[0] == reports[1]
+        assert [entry[0] for entry in log] == ["first"] * 4 + ["second"] * 4
+        assert [entry[2] for entry in log if entry[1] == "enter"] == [1] * 4
+        assert reports["first"] == reports["second"]
+        assert _worker_blas_threads() == 2
+
+    def test_count_restored_after_nested_call(self, monkeypatch):
+        # A task that makes a call of its own re-enters the lock; the inner
+        # call gives the outer one back its one thread.
+        point_row, inner, seen = harness._point_row, small_csms_config(trials=8), []
+
+        def nesting(cfg, point):
+            if cfg is inner:
+                seen.append(("inner", _worker_blas_threads()))
+            else:
+                assert len(run_scenario(inner).rows) == 1
+                seen.append(("outer", _worker_blas_threads()))
+            return point_row(cfg, point)
+
+        monkeypatch.setattr(harness, "_point_row", nesting)
+        report = run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8))
+        assert len(report.rows) == 2
+        assert seen == [("inner", 1), ("outer", 1)] * 2
         assert _worker_blas_threads() == 2
 
     def test_many_threads_many_calls(self, seen):
-        # More threads than CPUs and frequent switches: a lost update of the
-        # depth would restore the count under a running call or not at all.
+        # More threads than CPUs and frequent switches: a call that restored
+        # the count under another running call, or not at all, would show.
         cfg, reports = small_csms_config(trials=8), []
 
         def calls():
@@ -930,6 +956,11 @@ class TestFigures:
         assert 500 in swept[511]
         assert all(cfg.trials == harness.DEFAULT_TRIALS for cfg in configs)
         assert figure_configs("fig8") == configs
+
+    @pytest.mark.parametrize("name", harness.FIGURE_NAMES)
+    def test_zero_trials_rejected(self, name):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            figure_configs(name, trials=0)
 
     def test_reproduce_smoke(self):
         report = reproduce_figure("fig5", trials=3, master_seed=11)
