@@ -28,7 +28,8 @@ noise, all T x n real parts before all T x n imaginary parts.  Block size
 is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
-count, and error sums are reduced in fixed trial order.
+count.  A point's squared errors, and each standard-error batch's, are
+summed trial by trial in trial order, for both schemes and phase policies.
 """
 
 import csv
@@ -200,8 +201,8 @@ class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
     ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``signal``
-    is ``_realize`` of the gains' phases, or None with per-trial phases:
-    each trial block then draws its own.
+    is ``_realize`` of the gains' phases, the truth phases and clean signal,
+    or None with per-trial phases: each trial block then draws its own.
     """
 
     point: GridPoint
@@ -234,23 +235,20 @@ class PointModel:
 
 
 def _realize(point, code, phases):
-    """Truth (gain dB, phase deg) and noise-free receive signal of unit-amplitude gains.
-
-    ``phases`` is (V,) or a block of (T, V); the outputs carry the same
-    leading axes.
-    """
+    """Truth phase (deg) and noise-free receive signal of unit-amplitude gains,
+    whose truth gain is 0 dB.  ``phases`` is (V,) or a block of (T, V); the
+    outputs carry the same leading axes."""
     w = np.exp(1j * phases)
     truth_phase_deg = np.degrees(phases[..., 1:] - phases[..., :1])
-    truth_gain_db = np.zeros_like(truth_phase_deg)
     if point.scheme == "OMA":
         clean = w @ code.T
     else:
         clean = csms_clean_stream(code, range(point.n_elements), w)
-    return truth_gain_db, truth_phase_deg, clean
+    return truth_phase_deg, clean
 
 
 def _trial_chunk(model, block):
-    """(T, V-1) gain and phase errors of one trial block, received in one pass.
+    """(2, T, V-1) stacked gain and phase errors of one trial block, received in one pass.
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
@@ -259,11 +257,8 @@ def _trial_chunk(model, block):
     point = model.point
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
     rng = rng_stream(model.master_seed, point.index, 1 + block)
-    if model.signal is None:
-        phases = rng.uniform(0.0, 2.0 * np.pi, (size, point.n_elements))
-        truth_gain_db, truth_phase_deg, clean = _realize(point, model.code, phases)
-    else:
-        truth_gain_db, truth_phase_deg, clean = model.signal
+    truth_phase_deg, clean = model.signal or _realize(
+        point, model.code, rng.uniform(0.0, 2.0 * np.pi, (size, point.n_elements)))
     windows = clean + complex_awgn(rng, (size, clean.shape[-1]), model.noise_var)
     if point.scheme == "OMA":
         estimates = oma_estimate(model.code, windows)
@@ -271,7 +266,7 @@ def _trial_chunk(model, block):
         peaks = csms_peaks(model.code, range(point.n_elements), windows)
         estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates)
-    return report.gain_db - truth_gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)
+    return np.stack((report.gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)))
 
 
 def run_trial(cfg, point, trial_index):
@@ -279,20 +274,24 @@ def run_trial(cfg, point, trial_index):
     if not 0 <= trial_index < cfg.trials:
         raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
     block, row = divmod(trial_index, BLOCK_TRIALS)
-    gain_err, phase_err = _trial_chunk(PointModel.build(cfg, point), block)
-    return gain_err[row], phase_err[row]
+    return tuple(_trial_chunk(PointModel.build(cfg, point), block)[:, row])
+
+
+def _rmse(sq_errors):
+    """Element-averaged (gain, phase) RMSEs of stacked (2, trials, V-1) squared errors.
+
+    Summed trial by trial in trial order, because the buffer is C-ordered."""
+    return np.sqrt(sq_errors.mean(axis=1)).mean(axis=1)
 
 
 def _batch_stderr(sq_errors):
-    """Batch-means standard error of the element-averaged RMSE."""
-    trials = sq_errors.shape[0]
-    n_batches = min(STDERR_BATCHES, trials)
+    """Batch-means standard errors of both ``_rmse`` values of stacked squared errors."""
+    n_batches = min(STDERR_BATCHES, sq_errors.shape[1])
     if n_batches < 2:
-        return 0.0
-    edges = np.linspace(0, trials, n_batches + 1).astype(int)
-    vals = np.array([np.sqrt(sq_errors[a:b].mean(axis=0)).mean()
-                     for a, b in zip(edges[:-1], edges[1:])])
-    return float(vals.std(ddof=1) / np.sqrt(n_batches))
+        return np.zeros(2)
+    edges = np.linspace(0, sq_errors.shape[1], n_batches + 1).astype(int)
+    vals = np.stack([_rmse(sq_errors[:, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
+    return vals.std(axis=1, ddof=1) / np.sqrt(n_batches)
 
 
 @dataclass(frozen=True)
@@ -358,20 +357,21 @@ def _point_row(cfg, point):
     """Report row of one grid point: its model, prediction and trial blocks in trial order."""
     model = PointModel.build(cfg, point)
     theory = accuracy.theory_point(model.gains, model.noise_stats())
-    parts = [_trial_chunk(model, b) for b in range(-(-cfg.trials // BLOCK_TRIALS))]
-    gain_sq = np.concatenate([g for g, _ in parts])**2
-    phase_sq = np.concatenate([p for _, p in parts])**2
+    sq_errors = np.empty((2, cfg.trials, point.n_elements - 1))
+    for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
+        np.square(_trial_chunk(model, b), out=sq_errors[:, start:start + BLOCK_TRIALS])
+    (gain, phase), (gain_se, phase_se) = _rmse(sq_errors), _batch_stderr(sq_errors)
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,
         code_length=point.code_length,
         ev_n0_db=point.ev_n0_db,
         gain_rmse_theory_db=accuracy.average_rmse(theory.gain_rmse_db),
-        gain_rmse_sim_db=float(np.sqrt(gain_sq.mean(axis=0)).mean()),
-        gain_rmse_sim_stderr=_batch_stderr(gain_sq),
+        gain_rmse_sim_db=float(gain),
+        gain_rmse_sim_stderr=float(gain_se),
         phase_rmse_theory_deg=accuracy.average_rmse(theory.phase_rmse_deg),
-        phase_rmse_sim_deg=float(np.sqrt(phase_sq.mean(axis=0)).mean()),
-        phase_rmse_sim_stderr=_batch_stderr(phase_sq),
+        phase_rmse_sim_deg=float(phase),
+        phase_rmse_sim_stderr=float(phase_se),
         trials=cfg.trials,
         seed=cfg.master_seed,
     )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -319,15 +320,48 @@ class TestSingleChain:
                        trials=30, master_seed=21),
         small_csms_config(trials=30),
         small_csms_config(trials=30, phase_policy="per-trial"),
-    ], ids=["OMA", "CSMS", "CSMS-per-trial"])
+        small_csms_config(n_elements=20, trials=3 * harness.BLOCK_TRIALS - 5),
+        small_csms_config(n_elements=20, trials=3 * harness.BLOCK_TRIALS - 5,
+                          phase_policy="per-trial"),
+    ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks"])
     def test_run_trial_reproduces_report_row(self, cfg):
+        # Every column sums each element's squared errors trial by trial, in
+        # trial order, also across blocks.
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])
         phase_sq = np.array([p**2 for _, p in errors])
+        edges = np.linspace(0, cfg.trials, harness.STDERR_BATCHES + 1).astype(int)
+
+        def rmse(sq):
+            acc = np.zeros(sq.shape[1])
+            for row in sq:
+                acc += row
+            return float(np.sqrt(acc / len(sq)).mean())
+
+        def stderr(sq):
+            batches = np.array([rmse(sq[a:b]) for a, b in zip(edges[:-1], edges[1:])])
+            return float(batches.std(ddof=1) / np.sqrt(len(batches)))
+
         row = run_scenario(cfg).rows[0]
-        assert row.gain_rmse_sim_db == float(np.sqrt(gain_sq.mean(axis=0)).mean())
-        assert row.phase_rmse_sim_deg == float(np.sqrt(phase_sq.mean(axis=0)).mean())
+        assert row.gain_rmse_sim_db == rmse(gain_sq)
+        assert row.phase_rmse_sim_deg == rmse(phase_sq)
+        assert row.gain_rmse_sim_stderr == stderr(gain_sq)
+        assert row.phase_rmse_sim_stderr == stderr(phase_sq)
+
+    def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
+        # The point's (2, trials, V-1) buffer is the only array of trials x V
+        # size: blocks are squared into it and reduced in place.
+        cfg = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(255,), ev_n0_db=30.0,
+                             trials=2000, master_seed=5)
+        point = scenario_points(cfg)[0]
+        tracemalloc.start()
+        try:
+            harness._point_row(cfg, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cfg.trials * (point.n_elements - 1) * 8
 
     def test_per_trial_span_ignores_earlier_trials(self):
         # A block depends on its model and index alone: running other blocks
