@@ -91,12 +91,16 @@ def complex_awgn(rng, shape, noise_var):
     ``shape`` is an int n or a tuple such as (T, n).  Draw order is part of
     the reproducibility contract: one block of standard normals of
     ``shape`` (C order) for the real parts, then one for the imaginary
-    parts, each scaled by sqrt(noise_var / 2).
+    parts, each scaled by sqrt(noise_var / 2) straight into the real and
+    imaginary parts of the one complex array returned.
     """
     if noise_var < 0:
         raise DimensionError("noise variance must be nonnegative")
     scale = np.sqrt(noise_var / 2.0)
-    return scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
+    noise = np.empty(shape, dtype=np.complex128)
+    np.multiply(rng.standard_normal(shape), scale, out=noise.real)
+    np.multiply(rng.standard_normal(shape), scale, out=noise.imag)
+    return noise
 
 
 def validate_offsets(offsets, length):

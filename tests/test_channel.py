@@ -5,7 +5,15 @@ from arraycal.channel import (ElementGains, LinkBudget, complex_awgn, csms_clean
                               ev_n0_from_link_budget, noise_var_from_snr)
 from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matrix
 from arraycal.errors import DimensionError, OffsetError
+from arraycal.harness import (PointModel, ScenarioConfig, _realize, figure_configs, rng_stream,
+                              scenario_points)
 from oracles import cyclic_shift
+
+
+def summed_blocks_awgn(rng, shape, noise_var):
+    """Complex noise as the sum of a scaled real block and an imaginary-scaled block."""
+    scale = np.sqrt(noise_var / 2.0)
+    return scale * rng.standard_normal(shape) + 1j * scale * rng.standard_normal(shape)
 
 
 class TestElementGains:
@@ -108,6 +116,42 @@ class TestComplexAwgn:
         assert got.shape == (t, n)
         np.testing.assert_array_equal(got.real, normals[:t * n].reshape(t, n))
         np.testing.assert_array_equal(got.imag, normals[t * n:].reshape(t, n))
+
+
+class TestComplexAwgnMatchesSummedBlocks:
+    """``complex_awgn`` gives the bytes of two scaled normal blocks summed into a
+    complex array: the noise itself at nonzero variance, and the receive windows
+    (clean signal plus noise) at zero variance, where only the signs of the
+    noise's zeros could differ."""
+
+    @pytest.mark.parametrize("shape", [113, (6, 9), (1, 1021)])
+    def test_noise_bytes_at_nonzero_variance(self, shape):
+        expected = summed_blocks_awgn(np.random.default_rng(11), shape, 0.3)
+        assert complex_awgn(np.random.default_rng(11), shape, 0.3).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def assert_zero_variance_windows_match(point, clean, key):
+        shape = (3, clean.shape[-1])
+        got = clean + complex_awgn(rng_stream(*key), shape, 0.0)
+        expected = clean + summed_blocks_awgn(rng_stream(*key), shape, 0.0)
+        assert got.tobytes() == expected.tobytes(), point
+
+    @pytest.mark.parametrize("figure", ["fig5", "fig7"])
+    def test_zero_variance_windows_of_figure_points(self, figure):
+        for cfg in figure_configs(figure, master_seed=1729, trials=3):
+            for point in scenario_points(cfg):
+                clean = PointModel.build(cfg, point).signal[1]
+                self.assert_zero_variance_windows_match(point, clean, (1729, point.index, 1))
+
+    def test_zero_variance_windows_with_per_trial_phases(self):
+        cfg = ScenarioConfig(scheme="CSMS", code_length=127, v_grid=(4, 64, 127), ev_n0_db=25.0,
+                             trials=3, master_seed=31337, phase_policy="per-trial")
+        for point in scenario_points(cfg):
+            model = PointModel.build(cfg, point)
+            rng = rng_stream(31337, point.index, 1)
+            phases = rng.uniform(0.0, 2.0 * np.pi, (3, point.n_elements))
+            _, clean = _realize(point, model.code, phases)
+            self.assert_zero_variance_windows_match(point, clean, (31337, point.index, 1))
 
 
 class TestSynthesizeWindowOma:
