@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -321,12 +322,15 @@ class TestTheoryPoint:
             mean_u, mean_u2, _ = log_ratio_moments(t1, tv, rho, dphi, **rule)
             assert np.all(np.abs(mean_u - expected) < tol * np.sqrt(mean_u2))
 
+    # Out of the Gauss-Hermite regime (10 dB; V = L) and inside it (V = 60 at 30 dB).
     @pytest.mark.parametrize("code_length, n_elements, ev_n0_db", [(63, 50, 10.0),
-                                                                    (511, 511, 30.0)])
-    def test_against_refined_quadrature(self, code_length, n_elements, ev_n0_db):
+                                                                    (511, 511, 30.0),
+                                                                    (127, 60, 30.0)])
+    def test_against_refined_quadrature(self, monkeypatch, code_length, n_elements, ev_n0_db):
         gains, stats = csms_point(code_length, n_elements, ev_n0_db, seed=42)
         point = theory_point(gains, stats)
         amp, phs, var = gains.amplitudes, gains.phases, stats.variances
+        monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)  # the reference is a sinh rule
         refined = log_ratio_moments(var[0] / amp[0] ** 2, var[1:] / amp[1:] ** 2,
                                     stats.correlations, phs[1:] - phs[0],
                                     nodes=96, tail=1e-12)
@@ -334,6 +338,106 @@ class TestTheoryPoint:
                                    20.0 / np.log(10.0) * np.sqrt(refined[1]), rtol=1e-3)
         np.testing.assert_allclose(point.phase_rmse_deg,
                                    np.degrees(np.sqrt(refined[2])), rtol=1e-3)
+
+
+class TestGaussHermite:
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 32])
+    def test_symmetric_and_exact_for_even_powers(self, n):
+        y, w = theory._gauss_hermite(n)
+        np.testing.assert_array_equal(y, -y[::-1])
+        np.testing.assert_array_equal(w, w[::-1])
+        assert np.all(np.diff(y) > 0) and np.all(w > 0)
+        for k in range(n):  # exact up to degree 2n - 1
+            assert np.sum(w * y ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+    def test_matches_numpy_hermgauss(self):
+        from numpy.polynomial.hermite import hermgauss
+        y, w = theory._gauss_hermite(theory.GH_NODES)
+        nodes, weights = hermgauss(theory.GH_NODES)
+        np.testing.assert_allclose(y, nodes, rtol=0, atol=4e-15)
+        np.testing.assert_allclose(w, weights, rtol=4e-14)
+
+    def test_theory_point_loads_no_polynomial_module(self):
+        src = os.path.dirname(os.path.dirname(arraycal.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", POLYNOMIAL_MODULE_SCRIPT], env=env,
+                               capture_output=True, text=True, timeout=120, check=True)
+        in_regime, loaded = child.stdout.split()
+        assert int(in_regime) > 0 and loaded == "False"
+
+
+# Theory of one CSMS point; prints its Gauss-Hermite element count and whether
+# numpy.polynomial got loaded.
+POLYNOMIAL_MODULE_SCRIPT = """
+import sys
+import numpy as np
+from arraycal import theory
+from arraycal.channel import ElementGains
+from arraycal.codes import msequence_code
+from arraycal.receiver import ZfEqualizer
+
+gains = ElementGains.with_random_phases(60, np.random.default_rng(3))
+eq = ZfEqualizer.for_dimensions(127, 60)
+stats = theory.csms_gain_noise_stats(eq, theory.csms_peak_noise_cov(msequence_code(127), 60, 1e-3))
+theory.theory_point(gains, stats)
+near = (np.maximum(stats.variances[1:], stats.variances[0]) <= theory.GH_MAX_SNR_INV) & (
+    np.abs(stats.correlations) <= theory.GH_MAX_RHO)
+print(int(near.sum()), "numpy.polynomial" in sys.modules)
+"""
+
+
+def hermite_regime_inputs(count, seed):
+    """Random (t1, tv, rho, dphi) inside the Gauss-Hermite regime, then its corner:
+    both variances at the bound and |rho| at its bound, over the phase difference."""
+    rng = np.random.default_rng(seed)
+    t_max, rho_max = theory.GH_MAX_SNR_INV, theory.GH_MAX_RHO
+    t1, tv = np.exp(rng.uniform(np.log(1e-4), np.log(t_max), (2, count)))
+    rho, dphi = rng.uniform(-rho_max, rho_max, count), rng.uniform(-np.pi, np.pi, count)
+    corner_dphi = np.linspace(-np.pi, np.pi, 13)
+    corner_rho = np.repeat([rho_max, -rho_max], corner_dphi.size)
+    return (np.concatenate((t1, np.full(corner_rho.size, t_max))),
+            np.concatenate((tv, np.full(corner_rho.size, t_max))),
+            np.concatenate((rho, corner_rho)), np.concatenate((dphi, np.tile(corner_dphi, 2))))
+
+
+class TestHermiteRegime:
+    """Elements with max(t1, tv) <= GH_MAX_SNR_INV and |rho| <= GH_MAX_RHO use the
+    Gauss-Hermite rule; its accuracy is checked against a wide sinh window, which
+    the patched ``QUAD_WIDTH`` and regime bound give."""
+
+    def test_accuracy_against_wide_window_reference(self, monkeypatch):
+        args = hermite_regime_inputs(300, seed=16)
+        hermite = log_ratio_moments(*args)
+        monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)  # every element on the sinh rule
+        sinh = log_ratio_moments(*args)
+        monkeypatch.setattr(theory, "QUAD_WIDTH", 16.0)
+        reference = log_ratio_moments(*args, nodes=200, tail=1e-14)
+        hermite_error = np.max(np.abs(hermite[1:] / reference[1:] - 1.0))
+        sinh_error = np.max(np.abs(sinh[1:] / reference[1:] - 1.0))
+        assert hermite_error < 1e-9
+        assert hermite_error <= sinh_error
+
+    def test_mean_log_ratio_against_lapidoth_moser(self):
+        # The identity of TestTheoryPoint: E[u] = (E1(1/tv) - E1(1/t1)) / 2.
+        t1, tv, rho, dphi = hermite_regime_inputs(100, seed=17)
+        mean_u, mean_u2, _ = log_ratio_moments(t1, tv, rho, dphi)
+        expected = (exp1(1.0 / tv) - exp1(1.0 / t1)) / 2.0
+        assert np.all(np.abs(mean_u - expected) < 1e-10 * np.sqrt(mean_u2))
+
+    def test_inputs_just_outside_the_bounds_get_the_sinh_rule(self, monkeypatch):
+        t_max, rho_max = theory.GH_MAX_SNR_INV, theory.GH_MAX_RHO
+        t_over, rho_over = np.nextafter(t_max, 1.0), np.nextafter(rho_max, 1.0)
+        # Columns: on the bounds (Gauss-Hermite), then just beyond one bound each (sinh).
+        t1 = np.array([t_max, t_max, 1e-3, t_over, 1e-3, 5e-3, 5e-3])
+        tv = np.array([t_max, 1e-3, t_max, 1e-3, t_over, 5e-3, 5e-3])
+        rho = np.array([rho_max, -rho_max, 0.2, 0.2, 0.2, rho_over, -rho_over])
+        dphi = np.array([0.3, 2.0, -1.0, 0.3, 0.3, 0.3, 2.5])
+        default = log_ratio_moments(t1, tv, rho, dphi)
+        monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)
+        sinh = log_ratio_moments(t1, tv, rho, dphi)
+        assert default[:, 3:].tobytes() == sinh[:, 3:].tobytes()
+        assert np.all(default[1:, :3] != sinh[1:, :3])
 
 
 class TestClosedFormPointIsElementwise:
@@ -397,6 +501,18 @@ class TestLogRatioMomentsMatchesBlockOracle:
         rho, dphi = rng.uniform(-1.0, 1.0, count), rng.uniform(-np.pi, np.pi, count)
         self.assert_same_bytes(t1, tv, rho, dphi)
         t1[1::2] = tv[1::2] = 0.0  # noise-free elements between noisy ones
+        self.assert_same_bytes(t1, tv, rho, dphi)
+
+    # Gauss-Hermite chunks of 5 elements, sinh chunks of 2; the two rules alternate.
+    @pytest.mark.parametrize("count", [1, 5, 6, 11])
+    def test_mixed_rules_around_chunk_edges(self, monkeypatch, count):
+        monkeypatch.setattr(theory, "_CHUNK_BYTES", 2 * 8 * theory.QUAD_NODES ** 2)
+        rng = np.random.default_rng(100 + count)
+        t1, tv = np.full(2 * count, 5e-3), rng.uniform(1e-3, 0.01, 2 * count)
+        rho, dphi = rng.uniform(-0.7, 0.7, 2 * count), rng.uniform(-np.pi, np.pi, 2 * count)
+        tv[1::2] = rng.uniform(0.02, 0.3, count)  # out of the Gauss-Hermite regime
+        self.assert_same_bytes(t1, tv, rho, dphi)
+        tv[::3] = t1[::3] = 0.0  # noise-free elements among both rules
         self.assert_same_bytes(t1, tv, rho, dphi)
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
