@@ -312,13 +312,9 @@ class RmseRow:
     seed: int
 
     def as_csv_record(self):
-        return [self.scheme, self.n_elements, self.code_length,
-                _fmt(self.ev_n0_db),
-                _fmt(self.gain_rmse_theory_db), _fmt(self.gain_rmse_sim_db),
-                _fmt(self.gain_rmse_sim_stderr),
-                _fmt(self.phase_rmse_theory_deg), _fmt(self.phase_rmse_sim_deg),
-                _fmt(self.phase_rmse_sim_stderr),
-                self.trials, self.seed]
+        """The fields in ``CSV_COLUMNS`` order: floats by ``repr``, the rest unchanged."""
+        return [_fmt(getattr(self, f.name)) if f.type is float else getattr(self, f.name)
+                for f in fields(self)]
 
 
 def _fmt(x):

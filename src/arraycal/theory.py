@@ -15,12 +15,13 @@ most GH_MAX_RHO) the log-ratio is close to Gaussian, and a
 GH_NODES-point Gauss-Hermite rule per axis reaches 1e-9 relative with
 576 density cells.  Every other element, the V = L elements of the
 cyclic-shift scheme among them, gets a QUAD_NODES-point Gauss-Legendre
-rule on a sinh-mapped window.  ``closed_form_point``
-(``gain_rmse_theory`` and ``phase_rmse_theory`` per element) is the
-paper's closed form, a high-SNR expansion of the same model.  For equal, uncorrelated errors it
-falls 0.04% short of the exact value at amplitude^2/variance = 30 dB,
-0.4% at 20 dB and 3-5% at 10 dB; far outside that regime it has no
-answer at all (``NegativeRadicand``).
+rule on a sinh-mapped window.  The QUAD_* and GH_* constants below are
+the only way to set these rules, and every call reads them.
+``closed_form_point`` (``gain_rmse_theory`` and ``phase_rmse_theory`` per
+element) is the paper's closed form, a high-SNR expansion of the same
+model.  For equal, uncorrelated errors it falls 0.04% short of the exact
+value at amplitude^2/variance = 30 dB, 0.4% at 20 dB and 3-5% at 10 dB;
+far outside that regime it has no answer at all (``NegativeRadicand``).
 """
 
 import functools
@@ -32,9 +33,10 @@ from .errors import DimensionError, NegativeRadicand
 
 DB_PER_NEPER = 10.0 / np.log(10.0)
 DEG_PER_RAD = 180.0 / np.pi
-# Quadrature of the exact prediction: Gauss-Legendre nodes per axis, the
-# window's least half-width in first-order standard deviations, and the
-# share of E[u^2] (in units of sd^2) its heavy tail may leave out.
+# Quadrature of the exact prediction, read at each call: Gauss-Legendre
+# nodes per axis, the window's least half-width in first-order standard
+# deviations, and the share of E[u^2] (in units of sd^2) its heavy tail may
+# leave out.
 QUAD_NODES = 40
 QUAD_WIDTH = 9.0
 QUAD_TAIL = 1e-8
@@ -265,18 +267,6 @@ def _gauss_hermite(n):
             np.concatenate((weights, weights[::-1][n % 2:])))
 
 
-def _hermite_rule(sd):
-    """Per-row Gauss-Hermite rule for a near-Gaussian of standard deviation ``sd`` around 0.
-
-    Nodes sqrt(2) sd y and weights sqrt(2) sd w exp(y^2) integrate the
-    density itself, so it runs through the same loop as ``_sinh_rule``'s.
-    Returns (nodes, weights).
-    """
-    y, w = _gauss_hermite(GH_NODES)
-    scale = np.sqrt(2.0) * sd[:, None]
-    return scale * y, scale * (w * np.exp(y * y))
-
-
 def _sinh_rule(scale, reach, nodes):
     """Per-row Gauss-Legendre rule on [-reach, reach], mapped by y = scale*sinh(k*x).
 
@@ -288,7 +278,40 @@ def _sinh_rule(scale, reach, nodes):
     return scale[:, None] * np.sinh(k * x), scale[:, None] * k * np.cosh(k * x) * w
 
 
-def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QUAD_TAIL):
+def _product_rules(t1, tv, rho, m):
+    """The quadrature's two product rules and the elements each one integrates.
+
+    Yields (rows, step, rule) for the Gauss-Hermite rule, then the sinh
+    rule: the indices of the live elements (m != 0) on it, how many of
+    them one chunk of _CHUNK_BYTES holds, and a function that returns
+    (u, wu, theta, wt), each of shape (len(i), nodes), for the elements
+    i.  Elements with max(t1, tv) <= GH_MAX_SNR_INV and |rho| <=
+    GH_MAX_RHO get the Gauss-Hermite rule.  The constants are read here,
+    at each call.
+    """
+    live = m != 0  # NaN stays NaN
+    near_gaussian = (np.maximum(t1, tv) <= GH_MAX_SNR_INV) & (np.abs(rho) <= GH_MAX_RHO)
+
+    def hermite(i):
+        # Nodes sqrt(2) sd y and weights sqrt(2) sd w exp(y^2) integrate the
+        # density itself, so it runs through the same loop as the sinh rule's.
+        y, w = _gauss_hermite(GH_NODES)
+        scale = np.sqrt(2.0) * np.sqrt(m[i] / 2.0)[:, None]
+        u, wu = scale * y, scale * (w * np.exp(y * y))
+        return u, wu, u, wu.copy()
+
+    def sinh(i):
+        sd = np.sqrt(m[i] / 2.0)
+        reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1[i], tv[i]), QUAD_TAIL))
+        return (*_sinh_rule(sd, reach, QUAD_NODES),
+                *_sinh_rule(sd, np.minimum(reach, np.pi), QUAD_NODES))
+
+    for in_regime, nodes, rule in ((True, GH_NODES, hermite), (False, QUAD_NODES, sinh)):
+        yield (np.flatnonzero(live & (near_gaussian == in_regime)),
+               max(1, _CHUNK_BYTES // (8 * nodes * nodes)), rule)
+
+
+def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi):
     """E[u], E[u^2] and E[theta^2] of the log-ratio error, by quadrature.
 
     With z = mu + n as in the module docstring, u + i*theta is
@@ -303,24 +326,26 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QU
     (1 + |b|^2/a) exp(|b|^2/a - mu^H Q mu) / (pi det(Sigma) a^2), used
     below in a form that stays finite at |rho| = 1.  A product rule
     integrates it in (u, theta), around the truth at the first-order
-    standard deviation sd of u (and of theta).
+    standard deviation sd of u (and of theta).  The module constants
+    QUAD_NODES, QUAD_WIDTH, QUAD_TAIL, GH_NODES, GH_MAX_SNR_INV and
+    GH_MAX_RHO are the only way to set the rules; each call reads them.
 
     In the high-SNR regime, max(t1, tv) <= GH_MAX_SNR_INV and |rho| <=
     GH_MAX_RHO, the density is close to a Gaussian of that sd and a
     GH_NODES x GH_NODES Gauss-Hermite rule scaled by sqrt(2) sd fits it:
     within 1e-9 relative of a wide-window reference on E[u^2] and
     E[theta^2].  Its nodes stay within 1.2 rad of the truth, so theta
-    needs no wrap.  ``nodes`` and ``tail`` do not apply to it.
+    needs no wrap.
 
-    Every other element gets a ``nodes`` x ``nodes`` Gauss-Legendre rule,
-    sinh-mapped around the truth.  The u window reaches QUAD_WIDTH * sd,
-    and further where the heavy tail (one of z_1, z_v near zero) would
-    still add more than ``tail`` * sd^2 to E[u^2]; the theta window is
-    that reach clipped to pi, so the wrap is exact.  The rule resolves u
-    least well as |rho| -> 1 with unequal variances, where the density
-    has a zero between its core and its tail (t1 = 0.1, tv = 0.2, rho =
-    1: E[u^2] is 1% high at 40 nodes, within 3e-5 at 96); such inputs
-    need more ``nodes``.
+    Every other element gets a QUAD_NODES x QUAD_NODES Gauss-Legendre
+    rule, sinh-mapped around the truth.  The u window reaches QUAD_WIDTH
+    * sd, and further where the heavy tail (one of z_1, z_v near zero)
+    would still add more than QUAD_TAIL * sd^2 to E[u^2]; the theta
+    window is that reach clipped to pi, so the wrap is exact.  The rule
+    resolves u least well as |rho| -> 1 with unequal variances, where
+    the density has a zero between its core and its tail (t1 = 0.1, tv
+    = 0.2, rho = 1: E[u^2] is 1% high at 40 nodes, within 3e-5 at 96);
+    such inputs need a larger QUAD_NODES.
     """
     t1, tv, rho, dphi = (np.ravel(a).astype(np.float64)
                          for a in np.broadcast_arrays(snr_inv_1, snr_inv_v, rho, dphi))
@@ -332,11 +357,6 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES, tail=QU
     _, first, inverse = np.unique(rows.view(np.dtype((np.void, 4 * rows.itemsize))).ravel(),
                                   return_index=True, return_inverse=True)
     t1, tv, rho, dphi = np.ascontiguousarray(rows[first].T)
-    return _log_ratio_moments(t1, tv, rho, dphi, nodes, tail)[:, inverse]
-
-
-def _log_ratio_moments(t1, tv, rho, dphi, nodes, tail):
-    """``log_ratio_moments`` of flat float64 element arrays."""
     # Work with the normalized errors n_1/mu_1 and n_v/mu_v: unit means,
     # cross-covariance kappa = rho*sqrt(t1*tv)*exp(-i*dphi).  For
     # r = exp(u + i*theta), with A = det(Sigma) a and m = mu^H adj(Sigma) mu,
@@ -346,25 +366,16 @@ def _log_ratio_moments(t1, tv, rho, dphi, nodes, tail):
     # evaluated without cancellation as (p - q)^2 + floor + 4 p q bend
     # (q = |rho| sqrt(tv)); m is A at r = 1, and m = 2 sd^2.
     out = np.zeros((3, t1.size))
-    elements = (t1, tv, rho, dphi, *_area_terms(t1, tv, rho, dphi))
-    live = elements[-1] != 0  # NaN stays NaN
-    near_gaussian = (np.maximum(t1, tv) <= GH_MAX_SNR_INV) & (np.abs(rho) <= GH_MAX_RHO)
-    for hermite in (True, False):
-        rows = np.flatnonzero(live & (near_gaussian == hermite))
+    root_1, q, floor, m = _area_terms(t1, tv, rho, dphi)
+    elements = (t1, rho, dphi, root_1, q, floor, m)
+    for rows, step, rule in _product_rules(t1, tv, rho, m):
         if not rows.size:
             continue
         # Per-element and per-node factors once; only the (chunk, nodes, nodes) density
         # is chunked.
-        t1, tv, rho, dphi, root_1, q, floor, m = (a[rows] for a in elements)
+        u, wu, theta, wt = rule(rows)
+        t1, rho, dphi, root_1, q, floor, m = (a[rows] for a in elements)
         det = t1 * floor
-        sd = np.sqrt(m / 2.0)
-        if hermite:
-            u, wu = _hermite_rule(sd)
-            theta, wt = u, wu.copy()
-        else:
-            reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1, tv), tail))
-            u, wu = _sinh_rule(sd, reach, nodes)
-            theta, wt = _sinh_rule(sd, np.minimum(reach, np.pi), nodes)
         exp_u = np.exp(u)
         p = root_1[:, None] * exp_u
         cross = 4.0 * p * q[:, None]
@@ -375,7 +386,6 @@ def _log_ratio_moments(t1, tv, rho, dphi, nodes, tail):
         sin_sq = np.sin(theta / 2.0) ** 2
         # Jacobian e^{2u} of r -> (u, theta), and the 1/pi of the density.
         wu *= exp_u * exp_u / np.pi
-        step = max(1, _CHUNK_BYTES // (8 * u.shape[1] ** 2))
         for lo in range(0, rows.size, step):
             i = slice(lo, lo + step)
             area = cross[i, :, None] * bend[i, None, :]
@@ -394,7 +404,7 @@ def _log_ratio_moments(t1, tv, rho, dphi, nodes, tail):
             pt = np.matmul(wu[i, None, :], dens)[:, 0, :] * wt[i]
             out[:, rows[i]] = ((pu * u[i]).sum(axis=1), (pu * u[i] * u[i]).sum(axis=1),
                                (pt * theta[i] * theta[i]).sum(axis=1))
-    return out
+    return out[:, inverse]
 
 
 def _area_terms(t1, tv, rho, dphi):

@@ -9,7 +9,9 @@ product here are the plain-definition oracles for those shortcuts.
 ``theory.log_ratio_moments``' density, and its Gauss-Hermite or sinh
 rule, inside the loop over element chunks.  The library computes the
 per-element and per-node factors once for all elements of a rule and
-must give the same bytes.
+must give the same bytes.  Both take the rule choice, chunk step and
+nodes from ``theory._product_rules``, which reads the quadrature
+constants at each call.
 
 ``cyclic_shift`` and ``aperiodic_autocorrelation`` are the plain code
 operations the library's FFT stream synthesis and lag sums replace.
@@ -24,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from arraycal import theory
 from arraycal.channel import validate_offsets
 from arraycal.codes import periodic_autocorrelation
 from arraycal.errors import DimensionError
-from arraycal.theory import (QUAD_NODES, QUAD_TAIL, QUAD_WIDTH, _area_terms, _bend,
-                             _hermite_rule, _sinh_rule, _tail_reach)
+from arraycal.theory import _area_terms, _bend, _product_rules
 
 
 def cyclic_shift(code, shift):
@@ -76,39 +76,25 @@ def dense_gain_noise_cov(eq, peak_cov):
     return inv @ np.asarray(peak_cov) @ inv
 
 
-def log_ratio_moments_by_block(snr_inv_1, snr_inv_v, rho, dphi, nodes=QUAD_NODES,
-                               tail=QUAD_TAIL):
+def log_ratio_moments_by_block(snr_inv_1, snr_inv_v, rho, dphi):
     """``theory.log_ratio_moments`` with all its work done chunk by chunk.
 
-    Elements in the Gauss-Hermite regime are chunked among themselves, by
-    that rule's node count; the rest by ``nodes``.
+    Each rule's elements are chunked among themselves, by that rule's
+    step, and each chunk's nodes and weights are built for it alone.
     """
     t1, tv, rho, dphi = (np.ravel(a).astype(np.float64)
                          for a in np.broadcast_arrays(snr_inv_1, snr_inv_v, rho, dphi))
     out = np.zeros((3, t1.size))
-    live = _area_terms(t1, tv, rho, dphi)[3] != 0
-    hermite = ((np.maximum(t1, tv) <= theory.GH_MAX_SNR_INV)
-               & (np.abs(rho) <= theory.GH_MAX_RHO))
-    for in_regime, rule_nodes in ((True, theory.GH_NODES), (False, nodes)):
-        rows = np.flatnonzero(live & (hermite == in_regime))
-        step = max(1, theory._CHUNK_BYTES // (8 * rule_nodes * rule_nodes))
+    for rows, step, rule in _product_rules(t1, tv, rho, _area_terms(t1, tv, rho, dphi)[3]):
         for lo in range(0, rows.size, step):
             i = rows[lo:lo + step]
-            out[:, i] = _block_moments(t1[i], tv[i], rho[i], dphi[i], nodes, tail, in_regime)
+            out[:, i] = _block_moments(t1[i], tv[i], rho[i], dphi[i], *rule(i))
     return out
 
 
-def _block_moments(t1, tv, rho, dphi, nodes, tail, hermite):
+def _block_moments(t1, tv, rho, dphi, u, wu, theta, wt):
     root_1, q, floor, m = _area_terms(t1, tv, rho, dphi)
     det = t1 * floor
-    sd = np.sqrt(m / 2.0)
-    if hermite:
-        u, wu = _hermite_rule(sd)
-        theta, wt = _hermite_rule(sd)
-    else:
-        reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1, tv), tail))
-        u, wu = _sinh_rule(sd, reach, nodes)
-        theta, wt = _sinh_rule(sd, np.minimum(reach, np.pi), nodes)
     exp_u = np.exp(u)
     p = root_1[:, None] * exp_u
     bend = _bend(theta + dphi[:, None], rho[:, None])

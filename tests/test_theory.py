@@ -21,6 +21,16 @@ from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
 from oracles import aperiodic_autocorrelation, dense_gain_noise_cov, log_ratio_moments_by_block
 
 
+@pytest.fixture
+def quadrature(monkeypatch):
+    """Sets quadrature constants of ``theory`` for the rest of a test:
+    ``quadrature(QUAD_NODES=96, QUAD_TAIL=1e-12)``."""
+    def set_constants(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(theory, name, value)
+    return set_constants
+
+
 class TestOmaNoiseStats:
     def test_equal_and_uncorrelated(self):
         stats = oma_noise_stats(1e-3, 3)
@@ -59,10 +69,8 @@ class TestCsmsPeakNoiseCov:
         code = msequence_code(7)
         n_elements, noise_var, n_streams = 3, 1.0, 100_000
         rng = np.random.default_rng(99)
-        peaks = np.empty((n_streams, n_elements), dtype=complex)
-        for i in range(n_streams):
-            stream = complex_awgn(rng, 7 + n_elements - 1, noise_var)
-            peaks[i] = csms_peaks(code, [0, 1, 2], stream)
+        streams = complex_awgn(rng, (n_streams, 7 + n_elements - 1), noise_var)
+        peaks = csms_peaks(code, [0, 1, 2], streams)
         empirical = (peaks.conj().T @ peaks).real / n_streams
         predicted = csms_peak_noise_cov(code, n_elements, noise_var)
         # entries are averages of n_streams products: se ~ noise_var/sqrt(n)
@@ -310,7 +318,7 @@ class TestTheoryPoint:
         assert abs(mc_gain / point.gain_rmse_db[0] - 1) < 0.01
         assert abs(mc_phase / point.phase_rmse_deg[0] - 1) < 0.01
 
-    def test_mean_log_ratio_against_lapidoth_moser(self):
+    def test_mean_log_ratio_against_lapidoth_moser(self, quadrature):
         # E[ln|z|^2] = ln|mu|^2 + E1(|mu|^2/sigma^2) for each estimate, so
         # E[u] = (E1(1/t_v) - E1(1/t_1)) / 2 whatever the correlation.  Down
         # to 3 dB (t = 0.5) the default rule is close; a refined rule
@@ -318,22 +326,24 @@ class TestTheoryPoint:
         t1, tv = 0.05, np.array([0.2, 0.2, 0.5])
         rho, dphi = np.array([0.0, 0.6, -0.9]), np.array([0.3, 1.0, 2.5])
         expected = (exp1(1.0 / tv) - exp1(1.0 / t1)) / 2.0
-        for rule, tol in (({}, 1e-3), ({"nodes": 96, "tail": 1e-12}, 1e-8)):
-            mean_u, mean_u2, _ = log_ratio_moments(t1, tv, rho, dphi, **rule)
+        for rule, tol in (({}, 1e-3), ({"QUAD_NODES": 96, "QUAD_TAIL": 1e-12}, 1e-8)):
+            quadrature(**rule)
+            mean_u, mean_u2, _ = log_ratio_moments(t1, tv, rho, dphi)
             assert np.all(np.abs(mean_u - expected) < tol * np.sqrt(mean_u2))
 
     # Out of the Gauss-Hermite regime (10 dB; V = L) and inside it (V = 60 at 30 dB).
     @pytest.mark.parametrize("code_length, n_elements, ev_n0_db", [(63, 50, 10.0),
                                                                     (511, 511, 30.0),
                                                                     (127, 60, 30.0)])
-    def test_against_refined_quadrature(self, monkeypatch, code_length, n_elements, ev_n0_db):
+    def test_against_refined_quadrature(self, monkeypatch, quadrature, code_length, n_elements,
+                                        ev_n0_db):
         gains, stats = csms_point(code_length, n_elements, ev_n0_db, seed=42)
         point = theory_point(gains, stats)
         amp, phs, var = gains.amplitudes, gains.phases, stats.variances
         monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)  # the reference is a sinh rule
+        quadrature(QUAD_NODES=96, QUAD_TAIL=1e-12)
         refined = log_ratio_moments(var[0] / amp[0] ** 2, var[1:] / amp[1:] ** 2,
-                                    stats.correlations, phs[1:] - phs[0],
-                                    nodes=96, tail=1e-12)
+                                    stats.correlations, phs[1:] - phs[0])
         np.testing.assert_allclose(point.gain_rmse_db,
                                    20.0 / np.log(10.0) * np.sqrt(refined[1]), rtol=1e-3)
         np.testing.assert_allclose(point.phase_rmse_deg,
@@ -406,13 +416,13 @@ class TestHermiteRegime:
     Gauss-Hermite rule; its accuracy is checked against a wide sinh window, which
     the patched ``QUAD_WIDTH`` and regime bound give."""
 
-    def test_accuracy_against_wide_window_reference(self, monkeypatch):
+    def test_accuracy_against_wide_window_reference(self, monkeypatch, quadrature):
         args = hermite_regime_inputs(300, seed=16)
         hermite = log_ratio_moments(*args)
         monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)  # every element on the sinh rule
         sinh = log_ratio_moments(*args)
-        monkeypatch.setattr(theory, "QUAD_WIDTH", 16.0)
-        reference = log_ratio_moments(*args, nodes=200, tail=1e-14)
+        quadrature(QUAD_NODES=200, QUAD_TAIL=1e-14, QUAD_WIDTH=16.0)
+        reference = log_ratio_moments(*args)
         hermite_error = np.max(np.abs(hermite[1:] / reference[1:] - 1.0))
         sinh_error = np.max(np.abs(sinh[1:] / reference[1:] - 1.0))
         assert hermite_error < 1e-9
@@ -477,9 +487,9 @@ class TestLogRatioMomentsMatchesBlockOracle:
     gives the bytes of the loop that did all its work chunk by chunk."""
 
     @staticmethod
-    def assert_same_bytes(*args, **rule):
-        expected = log_ratio_moments_by_block(*args, **rule)
-        assert log_ratio_moments(*args, **rule).tobytes() == expected.tobytes()
+    def assert_same_bytes(*args):
+        expected = log_ratio_moments_by_block(*args)
+        assert log_ratio_moments(*args).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("figure", ["fig5", "fig7"])
     def test_figure_grid_points(self, figure):
@@ -519,12 +529,29 @@ class TestLogRatioMomentsMatchesBlockOracle:
     def test_full_correlation_with_unequal_variances(self, rho):
         self.assert_same_bytes(0.1, np.array([0.2, 0.05, 0.1]), rho, np.array([0.0, 0.4, -2.0]))
 
-    def test_zero_noise_nan_and_refined_rule(self):
+    def test_zero_noise_nan_and_refined_rule(self, quadrature):
         self.assert_same_bytes(0.0, np.zeros(3), 0.0, np.array([0.0, 1.0, 2.0]))
         self.assert_same_bytes(0.01, np.array([np.nan, 0.02, 0.0]), np.array([0.0, np.nan, 0.3]),
                                np.array([0.5, 0.5, np.nan]))
+        quadrature(QUAD_NODES=96, QUAD_TAIL=1e-12)
         self.assert_same_bytes(0.05, np.array([0.2, 0.2, 0.5]), np.array([0.0, 0.6, -0.9]),
-                               np.array([0.3, 1.0, 2.5]), nodes=96, tail=1e-12)
+                               np.array([0.3, 1.0, 2.5]))
+
+    # Near the Gauss-Hermite regime's edge (where the 9-sd window matters) and at 13 dB
+    # (where the tail reach does); the last element is in the regime.
+    @pytest.mark.parametrize("constant, value", [("QUAD_NODES", 96), ("QUAD_TAIL", 1e-12),
+                                                 ("QUAD_WIDTH", 16.0)])
+    def test_each_sinh_constant_moves_library_and_oracle_together(self, quadrature, constant,
+                                                                  value):
+        args = (np.array([0.01, 0.01, 0.05, 0.05, 0.005]),
+                np.array([0.01, 0.005, 0.2, 0.5, 0.005]),
+                np.array([0.9, -0.95, 0.6, -0.9, 0.5]), np.array([-0.7, 0.3, 1.0, 2.5, 1.0]))
+        default = log_ratio_moments(*args)
+        quadrature(**{constant: value})
+        patched = log_ratio_moments(*args)
+        assert np.any(patched[:, :4] != default[:, :4])
+        assert patched[:, 4].tobytes() == default[:, 4].tobytes()
+        self.assert_same_bytes(*args)
 
 
 class TestLogRatioMomentsDedup:
