@@ -33,10 +33,9 @@ from .errors import DimensionError, NegativeRadicand
 
 DB_PER_NEPER = 10.0 / np.log(10.0)
 DEG_PER_RAD = 180.0 / np.pi
-# Quadrature of the exact prediction, read at each call: Gauss-Legendre
-# nodes per axis, the window's least half-width in first-order standard
-# deviations, and the share of E[u^2] (in units of sd^2) its heavy tail may
-# leave out.
+# Quadrature of the exact prediction: Gauss-Legendre nodes per axis, the
+# window's least half-width in first-order standard deviations, and the
+# share of E[u^2] (in units of sd^2) its heavy tail may leave out.
 QUAD_NODES = 40
 QUAD_WIDTH = 9.0
 QUAD_TAIL = 1e-8
@@ -286,8 +285,7 @@ def _product_rules(t1, tv, rho, m):
     them one chunk of _CHUNK_BYTES holds, and a function that returns
     (u, wu, theta, wt), each of shape (len(i), nodes), for the elements
     i.  Elements with max(t1, tv) <= GH_MAX_SNR_INV and |rho| <=
-    GH_MAX_RHO get the Gauss-Hermite rule.  The constants are read here,
-    at each call.
+    GH_MAX_RHO get the Gauss-Hermite rule.  Reads the constants per call.
     """
     live = m != 0  # NaN stays NaN
     near_gaussian = (np.maximum(t1, tv) <= GH_MAX_SNR_INV) & (np.abs(rho) <= GH_MAX_RHO)
