@@ -15,8 +15,7 @@ from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
 from .codes import (BinarySequence, generate_msequence, msequence_code,
                     periodic_autocorrelation, to_bipolar, walsh_matrix)
 from .errors import (ArrayCalError, ConfigError, DimensionError, NegativeRadicand,
-                     NonMaximalPolynomial, OffsetError, ReferenceZero, SingularError,
-                     UnknownFigure)
+                     NonMaximalPolynomial, ReferenceZero, SingularError, UnknownFigure)
 from .harness import (RmseReport, RmseRow, ScenarioConfig, reproduce_figure,
                       run_scenario, run_trial, scenario_points)
 from .receiver import (MismatchReport, ZfEqualizer, csms_peaks, extract_mismatch,

@@ -1,11 +1,12 @@
 """Ground-truth element gains, receiver noise, and link-budget bookkeeping."""
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, OffsetError
+from .errors import DimensionError
 
 # dB form of the Boltzmann constant used by the link budget (configurable
 # per LinkBudget instance).
@@ -57,8 +58,11 @@ class LinkBudget:
     kb_dbw_hz_k: float = BOLTZMANN_DBW_HZ_K
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                raise DimensionError(f"{f.name} must be finite, got {value}")
         if self.ts_seconds <= 0:
-            raise DimensionError("symbol duration must be positive")
+            raise DimensionError(f"ts_seconds must be positive, got {self.ts_seconds}")
 
     @classmethod
     def from_dict(cls, d):
@@ -68,7 +72,7 @@ class LinkBudget:
         values["kb_dbw_hz_k"] = d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K)
         for name, v in values.items():
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise TypeError(f"{name} is {v!r}")
+                raise TypeError(f"{name} must be a number, got {v!r}")
         return cls(**{name: float(v) for name, v in values.items()})
 
 
@@ -103,35 +107,23 @@ def complex_awgn(rng, shape, noise_var):
     return noise
 
 
-def validate_offsets(offsets, length):
-    """Offsets must start at 0, strictly increase, and stay below the code length."""
-    offsets = [int(q) for q in offsets]
-    if not offsets or offsets[0] != 0:
-        raise OffsetError("first offset must be 0")
-    if any(b <= a for a, b in zip(offsets, offsets[1:])):
-        raise OffsetError(f"offsets must be strictly increasing, got {offsets}")
-    if offsets[-1] > length - 1:
-        raise OffsetError(f"largest offset {offsets[-1]} exceeds code length - 1 = {length - 1}")
-    return offsets
-
-
-def csms_clean_stream(code, offsets, weights):
+def csms_clean_stream(code, weights):
     """Noise-free composite streams: periodic extension of the shifted-code sum.
 
-    ``weights`` are complex element gains w_v on the last axis, with any
-    leading batch axes; each row gives one stream of length L + max(offset),
-    so that every element's correlation window fits.  Sample k equals
-    sum_v w_v * code[(k - offset_v) mod L]: the circular convolution of the
-    code with the gains placed at their offsets.
+    Element v is the code shifted by v chips.  ``weights`` are the complex
+    element gains w_v on the last axis, 1 <= V <= L of them, with any
+    leading batch axes; each row gives one stream of length L + V - 1, so
+    that every element's correlation window fits.  Sample k equals
+    sum_v w_v * code[(k - v) mod L]: the circular convolution of the code
+    with the gains zero-padded to L.
     """
     code = np.asarray(code)
     weights = np.asarray(weights)
-    length = code.size
-    offsets = validate_offsets(offsets, length)
-    if len(offsets) != weights.shape[-1]:
-        raise DimensionError(f"{len(offsets)} offsets for {weights.shape[-1]} elements")
+    length, n_elements = code.size, weights.shape[-1] if weights.ndim else 0
+    if not 1 <= n_elements <= length:
+        raise DimensionError(f"need 1 to {length} elements, got weights of shape {weights.shape}")
+    # Padded by hand: fft(weights, L) gives the same bytes, 1.5-2x slower on a block.
     placed = np.zeros(weights.shape[:-1] + (length,), dtype=np.complex128)
-    placed[..., offsets] = weights
+    placed[..., :n_elements] = weights
     stream = np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed))
-    return np.concatenate((stream, stream[..., :offsets[-1]]), axis=-1)
-
+    return np.concatenate((stream, stream[..., :n_elements - 1]), axis=-1)

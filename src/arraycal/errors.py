@@ -13,10 +13,6 @@ class DimensionError(ArrayCalError):
     """Array shapes are inconsistent with the requested operation."""
 
 
-class OffsetError(ArrayCalError):
-    """Cyclic-shift offsets violate the required ordering or range."""
-
-
 class SingularError(ArrayCalError):
     """The equalizer matrix is singular for the given sizes."""
 

@@ -53,7 +53,7 @@ from . import theory as accuracy
 from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
-from .errors import ArrayCalError, ConfigError, UnknownFigure
+from .errors import ArrayCalError, ConfigError, DimensionError, UnknownFigure
 from .receiver import (ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate,
                        wrap_degrees, zf_equalize)
 
@@ -165,8 +165,8 @@ class ScenarioConfig:
                 d["ev_n0_db"] = ev_n0_from_link_budget(LinkBudget.from_dict(d.pop("link_budget")))
             except KeyError as e:
                 raise ConfigError(f"link_budget is missing field {e}") from None
-            except TypeError as e:
-                raise ConfigError(f"link_budget fields must be numbers: {e}") from None
+            except (TypeError, DimensionError) as e:
+                raise ConfigError(f"link_budget gives no finite ev_n0_db: {e}") from None
         return cls(**dict(d, scheme=str(d["scheme"]).upper()))
 
 
@@ -243,7 +243,7 @@ def _realize(point, code, phases):
     if point.scheme == "OMA":
         clean = w @ code.T
     else:
-        clean = csms_clean_stream(code, range(point.n_elements), w)
+        clean = csms_clean_stream(code, w)
     return truth_phase_deg, clean
 
 
@@ -263,7 +263,7 @@ def _trial_chunk(model, block):
     if point.scheme == "OMA":
         estimates = oma_estimate(model.code, windows)
     else:
-        peaks = csms_peaks(model.code, range(point.n_elements), windows)
+        peaks = csms_peaks(model.code, point.n_elements, windows)
         estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates)
     return np.stack((report.gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)))

@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import validate_offsets
 from .errors import DimensionError, ReferenceZero, SingularError
 
 
@@ -21,25 +20,29 @@ def oma_estimate(code_matrix, window):
     return window @ code_matrix
 
 
-def csms_peaks(code, offsets, stream):
+def csms_peaks(code, n_elements, stream):
     """Single-filter correlation peaks recorded at the per-element epochs.
 
-    peak[v] = sum_k code[k] * stream[k + offsets[v]]: one matched filter
-    output, read offsets[v] samples after the first element's peak, as an
-    FFT cross-correlation over the last axis of a (..., n) stream batch.
-    Its length, a power of two >= n >= L + max(offset), keeps lags unwrapped.
+    peak[v] = sum_k code[k] * stream[k + v] for v < V = ``n_elements``, 1 <= V
+    <= L: one matched filter output, read v samples after the first
+    element's peak, as an FFT cross-correlation over the last axis of a
+    (..., n) stream batch.  Its length, a power of two >= n >= L + V - 1,
+    keeps lags unwrapped.
     """
     code = np.asarray(code)
     stream = np.asarray(stream)
     length = code.size
-    offsets = validate_offsets(offsets, length)
-    if stream.ndim == 0 or stream.shape[-1] < length + offsets[-1]:
+    if not 1 <= n_elements <= length:
+        raise DimensionError(f"need 1 to {length} elements, got {n_elements}")
+    if stream.ndim == 0 or stream.shape[-1] < length + n_elements - 1:
         raise DimensionError(
             f"stream of shape {stream.shape} too short for code length {length} "
-            f"with largest offset {offsets[-1]}")
+            f"with {n_elements} elements")
     n_fft = 1 << (stream.shape[-1] - 1).bit_length()
     spectrum = np.fft.fft(stream, n_fft) * np.conj(np.fft.fft(code, n_fft))
-    return np.fft.ifft(spectrum)[..., offsets]
+    # A gather, not a slice: its F-ordered (T, V) result fixes the order in
+    # which zf_equalize sums the peaks, and so the report bytes.
+    return np.fft.ifft(spectrum)[..., np.arange(n_elements)]
 
 
 @dataclass(frozen=True)

@@ -97,12 +97,11 @@ def oma_noise_stats(noise_var, n_elements):
 
 
 def csms_peak_noise_cov(code, n_elements, noise_var):
-    """Covariance of the raw correlation-peak noise at offsets 0, 1, ..., V-1.
+    """Covariance of the raw correlation-peak noise at shifts 0, 1, ..., V-1.
 
-    Adjacent peak windows share all but one sample of the noise stream,
-    so entry (y, z) is noise_var times the code's aperiodic
-    autocorrelation at lag |z - y|.  The window-overlap bookkeeping
-    assumes these consecutive offsets, the only ones the harness uses.
+    Element v sits at shift v, the only layout, so adjacent peak windows
+    share all but one sample of the noise stream and entry (y, z) is
+    noise_var times the code's aperiodic autocorrelation at lag |z - y|.
     """
     code = np.asarray(code)
     if n_elements > code.size:
@@ -299,10 +298,15 @@ def _product_rules(t1, tv, rho, m):
         return u, wu, u, wu.copy()
 
     def sinh(i):
+        # Scale and reach stop at pure noise's sd, pi/sqrt(12), and at the u where
+        # its density 1/(2 cosh^2 u) falls below double precision of its peak.
         sd = np.sqrt(m[i] / 2.0)
-        reach = np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1[i], tv[i]), QUAD_TAIL))
-        return (*_sinh_rule(sd, reach, QUAD_NODES),
-                *_sinh_rule(sd, np.minimum(reach, np.pi), QUAD_NODES))
+        scale = np.minimum(sd, np.pi / np.sqrt(12.0))
+        reach = np.minimum(
+            np.maximum(QUAD_WIDTH * sd, _tail_reach(sd, np.maximum(t1[i], tv[i]), QUAD_TAIL)),
+            np.arccosh(np.finfo(float).eps ** -0.5))
+        return (*_sinh_rule(scale, reach, QUAD_NODES),
+                *_sinh_rule(scale, np.minimum(reach, np.pi), QUAD_NODES))
 
     for in_regime, nodes, rule in ((True, GH_NODES, hermite), (False, QUAD_NODES, sinh)):
         yield (np.flatnonzero(live & (near_gaussian == in_regime)),
@@ -339,7 +343,11 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi):
     rule, sinh-mapped around the truth.  The u window reaches QUAD_WIDTH
     * sd, and further where the heavy tail (one of z_1, z_v near zero)
     would still add more than QUAD_TAIL * sd^2 to E[u^2]; the theta
-    window is that reach clipped to pi, so the wrap is exact.  The rule
+    window is that reach clipped to pi, so the wrap is exact.  At low
+    SNR sd grows without bound while u tends to pure noise, of density
+    1/(2 cosh^2 u), E[u^2] = pi^2/12 and E[theta^2] = pi^2/3: the map's
+    scale stops at that sd, pi/sqrt(12), and the window at the 18.7
+    nepers beyond which that density is below double precision.  The rule
     resolves u least well as |rho| -> 1 with unequal variances, where
     the density has a zero between its core and its tail (t1 = 0.1, tv
     = 0.2, rho = 1: E[u^2] is 1% high at 40 nodes, within 3e-5 at 96);

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from arraycal.channel import validate_offsets
 from arraycal.codes import periodic_autocorrelation
 from arraycal.errors import DimensionError
 from arraycal.theory import _area_terms, _bend, _product_rules
@@ -54,10 +53,13 @@ def build_correlation_matrix(code, offsets):
 
     Entry (y, z) is the periodic autocorrelation of the code at lag
     offsets[z] - offsets[y].  For an m-sequence this is 1 on the diagonal
-    and -1/L everywhere else, independent of the offsets chosen.
+    and -1/L everywhere else, independent of the distinct shifts chosen.
     """
     code = np.asarray(code)
-    offsets = validate_offsets(offsets, code.size)
+    offsets = np.asarray(offsets)
+    if (offsets.ndim != 1 or np.unique(offsets).size != offsets.size
+            or np.any((offsets < 0) | (offsets >= code.size))):
+        raise DimensionError(f"offsets {offsets} are not distinct shifts in [0, {code.size})")
     lags = np.array([periodic_autocorrelation(code, lag) for lag in range(code.size)])
     diffs = np.subtract.outer(offsets, offsets) % code.size
     # autocorrelation is symmetric in the lag, so (z - y) and (y - z) agree

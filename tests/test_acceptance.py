@@ -122,10 +122,9 @@ def test_criterion_3_noise_free_exactness():
             estimate = oma_estimate(c, window)
         else:
             code = msequence_code(length)
-            offsets = list(range(count))
-            stream = csms_clean_stream(code, offsets, gains.w)
+            stream = csms_clean_stream(code, gains.w)
             stream = stream + complex_awgn(rng, stream.size, 0.0)
-            estimate = zf_equalize(csms_peaks(code, offsets, stream),
+            estimate = zf_equalize(csms_peaks(code, count, stream),
                                    ZfEqualizer.for_dimensions(length, count))
         report = extract_mismatch(estimate)
         gain_err = np.max(np.abs(report.gain_db - truth.gain_db))

@@ -4,7 +4,7 @@ import pytest
 from arraycal.channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                               ev_n0_from_link_budget, noise_var_from_snr)
 from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matrix
-from arraycal.errors import DimensionError, OffsetError
+from arraycal.errors import DimensionError
 from arraycal.harness import (PointModel, ScenarioConfig, _realize, figure_configs, rng_stream,
                               scenario_points)
 from oracles import cyclic_shift
@@ -181,7 +181,7 @@ class TestSynthesizeStreamCsms:
     def test_single_element_periodic_extension(self):
         code = msequence_code(7)
         gains = ElementGains(amplitudes=np.array([1.5]), phases=np.array([0.3]))
-        out = csms_clean_stream(code, [0], gains.w)
+        out = csms_clean_stream(code, gains.w)
         np.testing.assert_allclose(out, gains.w[0] * code, atol=1e-15)
 
     def test_second_peak_carries_interference(self):
@@ -190,39 +190,22 @@ class TestSynthesizeStreamCsms:
         code = msequence_code(7)
         gains = ElementGains(amplitudes=np.array([1.0, 2.0]),
                              phases=np.array([0.2, 1.1]))
-        stream = csms_clean_stream(code, [0, 1], gains.w)
+        stream = csms_clean_stream(code, gains.w)
         assert stream.size == 8
         peak2 = np.dot(code, stream[1:8])
         w = gains.w
         expected = w[1] + w[0] * periodic_autocorrelation(code, 1)
         np.testing.assert_allclose(peak2, expected, atol=1e-12)
 
-    def test_duplicate_offsets_rejected(self):
-        with pytest.raises(OffsetError):
-            csms_clean_stream(msequence_code(7), [0, 0], np.ones(2))
-
-    def test_first_offset_must_be_zero(self):
-        with pytest.raises(OffsetError):
-            csms_clean_stream(msequence_code(7), [1, 2], np.ones(2))
-
-    def test_offset_exceeding_length_rejected(self):
-        with pytest.raises(OffsetError):
-            csms_clean_stream(msequence_code(7), [0, 7], np.ones(2))
-
-    def test_element_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            csms_clean_stream(msequence_code(7), [0, 1, 2], np.ones(2))
-
     def test_stream_is_sum_of_shifted_codes(self):
         code = msequence_code(15)
         rng = np.random.default_rng(9)
         gains = ElementGains(amplitudes=rng.uniform(0.5, 2, 4),
                              phases=rng.uniform(0, 2 * np.pi, 4))
-        offsets = [0, 3, 7, 11]
-        clean = csms_clean_stream(code, offsets, gains.w)
+        clean = csms_clean_stream(code, gains.w)
+        assert clean.size == 15 + 3
         for k in range(clean.size):
-            expected = sum(w * cyclic_shift(code, q)[k % 15]
-                           for w, q in zip(gains.w, offsets))
+            expected = sum(w * cyclic_shift(code, q)[k % 15] for q, w in enumerate(gains.w))
             assert clean[k] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("length, n_elements", [(63, 50), (127, 64), (511, 511)])
@@ -230,8 +213,7 @@ class TestSynthesizeStreamCsms:
         code = msequence_code(length)
         phases = np.random.default_rng(length).uniform(0, 2 * np.pi, (5, n_elements))
         weights = np.exp(1j * phases)
-        offsets = range(n_elements)
-        batch = csms_clean_stream(code, offsets, weights)
+        batch = csms_clean_stream(code, weights)
         assert batch.shape == (5, length + n_elements - 1)
         for row, w in zip(batch, weights):
-            assert row.tobytes() == csms_clean_stream(code, offsets, w).tobytes()
+            assert row.tobytes() == csms_clean_stream(code, w).tobytes()

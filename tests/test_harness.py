@@ -174,11 +174,16 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="ev_n0_db"):
             ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4,), ev_n0_db=snr)
 
-    @pytest.mark.parametrize("path_loss_db", [math.nan, math.inf])
-    def test_non_finite_link_budget_rejected(self, path_loss_db):
+    @pytest.mark.parametrize("field, value", [
+        ("path_loss_db", math.nan), ("path_loss_db", math.inf), ("path_loss_db", -math.inf),
+        ("eirp_dbw", math.inf), ("g_over_t_dbk", math.nan), ("kb_dbw_hz_k", -math.inf),
+        ("ts_seconds", math.inf), ("ts_seconds", 0.0), ("ts_seconds", -1e-3),
+    ])
+    def test_non_finite_link_budget_rejected(self, field, value):
+        budget = {"eirp_dbw": 10.0, "path_loss_db": 200.0, "g_over_t_dbk": 30.0,
+                  "ts_seconds": 1e-3}
         raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4],
-               "link_budget": {"eirp_dbw": 10.0, "path_loss_db": path_loss_db,
-                               "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
+               "link_budget": dict(budget, **{field: value})}
         with pytest.raises(ConfigError, match="ev_n0_db"):
             ScenarioConfig.from_dict(raw)
 

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -35,45 +38,50 @@ class TestCsmsPeaks:
     def test_single_element_unit_peak(self):
         code = msequence_code(7)
         gains = ElementGains(amplitudes=np.array([1.3]), phases=np.array([0.7]))
-        stream = csms_clean_stream(code, [0], gains.w)
-        peaks = csms_peaks(code, [0], stream)
+        stream = csms_clean_stream(code, gains.w)
+        peaks = csms_peaks(code, 1, stream)
         np.testing.assert_allclose(peaks, gains.w, atol=1e-13)
 
     def test_noise_free_peaks_equal_matrix_times_gains(self):
         code = msequence_code(7)
-        offsets = [0, 1, 2]
         rng = np.random.default_rng(4)
         gains = ElementGains(amplitudes=rng.uniform(0.5, 2, 3),
                              phases=rng.uniform(0, 2 * np.pi, 3))
-        stream = csms_clean_stream(code, offsets, gains.w)
-        peaks = csms_peaks(code, offsets, stream)
-        m = build_correlation_matrix(code, offsets)
+        stream = csms_clean_stream(code, gains.w)
+        peaks = csms_peaks(code, 3, stream)
+        m = build_correlation_matrix(code, range(3))
         np.testing.assert_allclose(peaks, m @ gains.w, atol=1e-13)
 
     def test_short_stream_rejected(self):
         code = msequence_code(7)
         with pytest.raises(DimensionError):
-            csms_peaks(code, [0, 1], np.zeros(7, dtype=complex))
+            csms_peaks(code, 2, np.zeros(7, dtype=complex))
 
-    @pytest.mark.parametrize("length, offsets", [(31, [0, 3, 11, 19, 30]),
-                                                 (511, list(range(511)))],
-                             ids=["sparse", "L=V=511"])
-    def test_equals_direct_sum(self, length, offsets):
+    @pytest.mark.parametrize("length, n_elements", [(31, 5), (511, 511)],
+                             ids=["V<L", "L=V=511"])
+    def test_equals_direct_sum(self, length, n_elements):
         code = msequence_code(length)
-        stream = complex_normal(np.random.default_rng(31), length + offsets[-1] + 3)
-        direct = [code @ stream[q:q + length] for q in offsets]
-        np.testing.assert_allclose(csms_peaks(code, offsets, stream), direct, rtol=0, atol=1e-13)
+        stream = complex_normal(np.random.default_rng(31), length + n_elements + 2)
+        direct = [code @ stream[q:q + length] for q in range(n_elements)]
+        np.testing.assert_allclose(csms_peaks(code, n_elements, stream), direct,
+                                   rtol=0, atol=1e-13)
 
     def test_linearity(self):
         code = msequence_code(15)
-        offsets = [0, 2, 5]
         rng = np.random.default_rng(8)
         s1 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
         s2 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        summed = csms_peaks(code, offsets, s1 + s2)
-        np.testing.assert_allclose(summed,
-                                   csms_peaks(code, offsets, s1) + csms_peaks(code, offsets, s2),
+        summed = csms_peaks(code, 6, s1 + s2)
+        np.testing.assert_allclose(summed, csms_peaks(code, 6, s1) + csms_peaks(code, 6, s2),
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("n_elements", [0, 8])
+    def test_element_count_outside_one_to_length_rejected(self, n_elements):
+        code = msequence_code(7)
+        with pytest.raises(DimensionError):
+            csms_clean_stream(code, np.ones(n_elements))
+        with pytest.raises(DimensionError):
+            csms_peaks(code, n_elements, np.zeros(20, dtype=complex))
 
 
 class TestBuildCorrelationMatrix:
@@ -208,25 +216,10 @@ class TestNoiseFreeEndToEnd:
     def test_csms_zf_exact_recovery(self):
         rng = np.random.default_rng(22)
         code = msequence_code(63)
-        offsets = list(range(50))
         gains = ElementGains.with_random_phases(50, rng)
-        stream = csms_clean_stream(code, offsets, gains.w)
-        estimates = zf_equalize(csms_peaks(code, offsets, stream),
+        stream = csms_clean_stream(code, gains.w)
+        estimates = zf_equalize(csms_peaks(code, 50, stream),
                                 ZfEqualizer.for_dimensions(63, 50))
-        report = extract_mismatch(estimates)
-        truth = extract_mismatch(gains.w)
-        np.testing.assert_allclose(report.gain_db, truth.gain_db, atol=1e-9)
-        np.testing.assert_allclose(report.phase_deg, truth.phase_deg, atol=1e-9)
-
-    def test_csms_zf_with_sparse_offsets(self):
-        # ZF relies only on the two-valued correlation, not on consecutive shifts.
-        rng = np.random.default_rng(23)
-        code = msequence_code(31)
-        offsets = [0, 3, 11, 19, 30]
-        gains = ElementGains.with_random_phases(5, rng)
-        stream = csms_clean_stream(code, offsets, gains.w)
-        estimates = zf_equalize(csms_peaks(code, offsets, stream),
-                                ZfEqualizer.for_dimensions(31, 5))
         report = extract_mismatch(estimates)
         truth = extract_mismatch(gains.w)
         np.testing.assert_allclose(report.gain_db, truth.gain_db, atol=1e-9)
@@ -247,8 +240,18 @@ class TestBatchAxes:
     def test_csms_peaks(self):
         code = msequence_code(63)
         streams = complex_normal(np.random.default_rng(41), 5, 63 + 49)
-        self.assert_rows_match(csms_peaks(code, range(50), streams),
-                               [csms_peaks(code, range(50), s) for s in streams])
+        self.assert_rows_match(csms_peaks(code, 50, streams),
+                               [csms_peaks(code, 50, s) for s in streams])
+
+    def test_batched_csms_peaks_are_summed_in_element_order(self):
+        # The report bytes rest on this: zf_equalize adds the 50 peaks of each
+        # row one after another, not pairwise as it would a C-ordered batch.
+        code = msequence_code(63)
+        eq = ZfEqualizer.for_dimensions(63, 50)
+        peaks = csms_peaks(code, 50, complex_normal(np.random.default_rng(44), 64, 63 + 49))
+        total = functools.reduce(operator.add, peaks.T)[:, None]
+        expected = eq.cross_coeff * total + (eq.diag_coeff - eq.cross_coeff) * peaks
+        assert zf_equalize(peaks, eq).tobytes() == expected.tobytes()
 
     def test_zf_equalize(self):
         eq = ZfEqualizer.for_dimensions(63, 50)
@@ -273,7 +276,7 @@ class TestBatchAxes:
         with pytest.raises(DimensionError):
             oma_estimate(walsh_matrix(4, 2), np.zeros((3, 3), dtype=complex))
         with pytest.raises(DimensionError):
-            csms_peaks(msequence_code(7), [0, 1], np.zeros((3, 7), dtype=complex))
+            csms_peaks(msequence_code(7), 2, np.zeros((3, 7), dtype=complex))
         with pytest.raises(DimensionError):
             zf_equalize(np.zeros((3, 4), dtype=complex), ZfEqualizer.for_dimensions(7, 3))
         with pytest.raises(DimensionError):

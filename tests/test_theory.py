@@ -12,7 +12,8 @@ from arraycal.channel import ElementGains, complex_awgn
 from arraycal.codes import msequence_code
 from arraycal.errors import DimensionError, NegativeRadicand
 from arraycal import theory
-from arraycal.harness import PointModel, figure_configs, scenario_points
+from arraycal.harness import (PointModel, ScenarioConfig, figure_configs, run_scenario,
+                              scenario_points)
 from arraycal.receiver import ZfEqualizer, csms_peaks, wrap_degrees
 from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
@@ -70,7 +71,7 @@ class TestCsmsPeakNoiseCov:
         n_elements, noise_var, n_streams = 3, 1.0, 100_000
         rng = np.random.default_rng(99)
         streams = complex_awgn(rng, (n_streams, 7 + n_elements - 1), noise_var)
-        peaks = csms_peaks(code, [0, 1, 2], streams)
+        peaks = csms_peaks(code, n_elements, streams)
         empirical = (peaks.conj().T @ peaks).real / n_streams
         predicted = csms_peak_noise_cov(code, n_elements, noise_var)
         # entries are averages of n_streams products: se ~ noise_var/sqrt(n)
@@ -95,7 +96,8 @@ DENSE_ORACLE_SIZES = [(63, 50), (127, 120), (511, 408), (511, 511)]
 # Theory of fig7's L=511, V=408 and V=500 points, written out as raw bytes.
 THEORY_BYTES_SCRIPT = """
 import sys
-from arraycal.harness import PointModel, figure_configs, scenario_points
+from arraycal.harness import (PointModel, ScenarioConfig, figure_configs, run_scenario,
+                              scenario_points)
 from arraycal.theory import theory_point
 
 cfg = next(c for c in figure_configs("fig7") if c.scheme == "CSMS" and c.code_length == 511)
@@ -348,6 +350,30 @@ class TestTheoryPoint:
                                    20.0 / np.log(10.0) * np.sqrt(refined[1]), rtol=1e-3)
         np.testing.assert_allclose(point.phase_rmse_deg,
                                    np.degrees(np.sqrt(refined[2])), rtol=1e-3)
+
+
+class TestPureNoiseLimit:
+    """Far below 0 dB the log-ratio tends to pure noise: u has density
+    1/(2 cosh^2 u), E[u^2] = pi^2/12, and theta is uniform, E[theta^2] = pi^2/3."""
+
+    @pytest.mark.parametrize("t", [10.0, 100.0, 1e3, 1e4])
+    def test_against_refined_rule(self, quadrature, t):
+        moments = log_ratio_moments(t, t, 0.0, 0.0)
+        quadrature(QUAD_NODES=400)
+        np.testing.assert_allclose(moments, log_ratio_moments(t, t, 0.0, 0.0), rtol=0, atol=1e-6)
+
+    def test_limits(self):
+        _, mean_u2, mean_theta2 = log_ratio_moments(1e6, 1e6, 0.0, 0.0)[:, 0]
+        assert mean_u2 == pytest.approx(np.pi ** 2 / 12.0, rel=1e-5)
+        assert mean_theta2 == pytest.approx(np.pi ** 2 / 3.0, rel=1e-5)
+
+    def test_minus_30_db_scenario_matches_simulation(self):
+        # Warnings are errors in this suite, so an overflow in the theory fails here.
+        cfg = ScenarioConfig(scheme="OMA", code_length=4, v_grid=(2,), ev_n0_db=-30.0)
+        row = run_scenario(cfg).rows[0]
+        assert abs(row.gain_rmse_theory_db - row.gain_rmse_sim_db) < 4 * row.gain_rmse_sim_stderr
+        assert abs(row.phase_rmse_theory_deg - row.phase_rmse_sim_deg) \
+            < 4 * row.phase_rmse_sim_stderr
 
 
 class TestGaussHermite:

@@ -56,16 +56,15 @@ class TestModelCollapse:
         rng = np.random.default_rng(11)
         gains = ElementGains(amplitudes=rng.uniform(0.5, 2.0, 3),
                              phases=rng.uniform(0, 2 * np.pi, 3))
-        offsets = [0, 2, 5]
         # composite oversampled waveform: weighted sum of shifted-code pulses
         composite = np.zeros(7 * oversample, dtype=complex)
-        for w, q in zip(gains.w, offsets):
+        for q, w in enumerate(gains.w):
             composite += w * synthesize_baseband(cyclic_shift(code, q), oversample).samples
         received = chip_matched_filter_and_sample(
             OversampledWaveform(samples=composite, oversample=oversample))
         # chip-rate oracle evaluated directly
         oracle = np.zeros(7, dtype=complex)
-        for w, q in zip(gains.w, offsets):
+        for q, w in enumerate(gains.w):
             oracle += w * cyclic_shift(code, q)
         np.testing.assert_allclose(received, oracle, atol=1e-10)
 
@@ -87,10 +86,9 @@ class TestModelCollapse:
         code = msequence_code(15)
         rng = np.random.default_rng(2)
         gains = ElementGains(amplitudes=np.ones(4), phases=rng.uniform(0, 2 * np.pi, 4))
-        offsets = [0, 1, 2, 3]
-        oracle = csms_clean_stream(code, offsets, gains.w)
+        oracle = csms_clean_stream(code, gains.w)
         composite = np.zeros(15 * 4, dtype=complex)
-        for w, q in zip(gains.w, offsets):
+        for q, w in enumerate(gains.w):
             composite += w * synthesize_baseband(cyclic_shift(code, q), 4).samples
         received = chip_matched_filter_and_sample(
             OversampledWaveform(samples=composite, oversample=4))
