@@ -6,9 +6,10 @@ blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
 batched pass through that chain.  A grid point is the only task of a
 scenario call: the task that owns it builds its model, predicts, runs its
 blocks and reduces them to its report row.  One runner serves both
-``run_scenario`` and ``reproduce_figure``: it maps the point task over every
-(config, point) pair of the call in report order, in process when the call
-has one task or one worker, otherwise on the process's worker pool.  That
+``run_scenario`` and ``reproduce_figure``: it runs the point task for every
+(config, point) pair of the call, in report order in process when the call
+has one task or one worker, otherwise on the process's worker pool, which
+gets the tasks longest first and hands the rows back in report order.  That
 pool is forked once per process, by the first pooled call, with
 ``min(workers, CPU count)`` workers of one BLAS thread each; later calls
 of the same size reuse it, and its workers are joined at interpreter exit
@@ -29,7 +30,8 @@ is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
 count.  A point's squared errors, and each standard-error batch's, are
-summed trial by trial in trial order, for both schemes and phase policies.
+summed trial by trial in trial order, for both schemes and phase policies
+and at every element count.
 """
 
 import csv
@@ -63,6 +65,12 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
 STDERR_BATCHES = 25
 BLOCK_TRIALS = 64  # the unit of randomness, synthesis and reception
+# The finite SNRs whose t = noise_var / amplitude^2, the theory's inverse element
+# SNR, stays in float64 range: t^2 must be normal, and at low SNR the squared
+# density denominators, up to (4 t e^(2R))^2 over the quadrature's window of
+# R = arccosh(eps^-1/2) nepers, where e^(2R) is about 4 / eps, must be finite.
+_SNR_RANGE_DB = (10.0 * math.log10(16.0 / (math.sqrt(np.finfo(float).max) * np.finfo(float).eps)),
+                 -5.0 * math.log10(np.finfo(float).tiny))
 
 CSV_COLUMNS = [
     "scheme", "V", "L", "ev_n0_db",
@@ -120,9 +128,11 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"element count {v} must satisfy 2 <= V <= code length {self.code_length}")
         # +inf is valid and means noise-free.
+        low, high = _SNR_RANGE_DB
         for snr in (*(self.snr_grid_db or ()), self.ev_n0_db):
-            if snr is not None and (math.isnan(snr) or snr == -math.inf):
-                raise ConfigError(f"snr_grid_db and ev_n0_db must be numbers or +inf, got {snr}")
+            if snr is not None and snr != math.inf and not low <= snr <= high:
+                raise ConfigError(f"snr_grid_db and ev_n0_db must be +inf or within "
+                                  f"[{low:.1f}, {high:.1f}] dB, got {snr}")
         # Fails here, not mid-run, on an unsupported length or non-primitive explicit taps.
         if self.taps is not None:
             if self.scheme != "CSMS":
@@ -167,6 +177,8 @@ class ScenarioConfig:
                 raise ConfigError(f"link_budget is missing field {e}") from None
             except (TypeError, DimensionError) as e:
                 raise ConfigError(f"link_budget gives no finite ev_n0_db: {e}") from None
+            if not math.isfinite(d["ev_n0_db"]):  # finite fields whose sum overflows
+                raise ConfigError(f"link_budget gives no finite ev_n0_db: {d['ev_n0_db']}")
         return cls(**dict(d, scheme=str(d["scheme"]).upper()))
 
 
@@ -277,21 +289,33 @@ def run_trial(cfg, point, trial_index):
     return tuple(_trial_chunk(PointModel.build(cfg, point), block)[:, row])
 
 
-def _rmse(sq_errors):
-    """Element-averaged (gain, phase) RMSEs of stacked (2, trials, V-1) squared errors.
+def _batch_slots(trials):
+    """Trial counts of the standard-error batches, and each trial's row in a
+    buffer that gives every batch as many rows as the largest, zeros after its trials."""
+    edges = np.linspace(0, trials, min(STDERR_BATCHES, trials) + 1).astype(int)
+    counts = np.diff(edges)
+    first_rows = np.arange(counts.size) * counts.max()
+    return counts, np.arange(trials) + np.repeat(first_rows - edges[:-1], counts)
 
-    Summed trial by trial in trial order, because the buffer is C-ordered."""
-    return np.sqrt(sq_errors.mean(axis=1)).mean(axis=1)
+
+def _rmse(sq_sums, trials):
+    """Element-averaged (gain, phase) RMSEs of (..., 2, V-1) squared-error sums over ``trials``."""
+    return np.sqrt(sq_sums / trials).mean(axis=-1)
 
 
-def _batch_stderr(sq_errors):
-    """Batch-means standard errors of both ``_rmse`` values of stacked squared errors."""
-    n_batches = min(STDERR_BATCHES, sq_errors.shape[1])
-    if n_batches < 2:
-        return np.zeros(2)
-    edges = np.linspace(0, sq_errors.shape[1], n_batches + 1).astype(int)
-    vals = np.stack([_rmse(sq_errors[:, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=1)
-    return vals.std(axis=1, ddof=1) / np.sqrt(n_batches)
+def _reduce(sq_errors, counts):
+    """(gain, phase) RMSEs and their batch-means standard errors.
+
+    ``sq_errors`` is the (batches, rows, 2, V-1) buffer of ``_batch_slots``.
+    Both sums run over an axis outside the C-ordered (2, V-1) rows, which numpy
+    adds row by row, so they are in trial order at every V; padding adds zeros."""
+    rmse = _rmse(sq_errors.reshape(-1, *sq_errors.shape[2:]).sum(axis=0), counts.sum())
+    if counts.size < 2:
+        return rmse, np.zeros(2)
+    # std over a contiguous (2, batches) array sums each column's batches the
+    # way it sums one column's batch RMSEs alone.
+    vals = np.ascontiguousarray(_rmse(sq_errors.sum(axis=1), counts[:, None, None]).T)
+    return rmse, vals.std(axis=1, ddof=1) / np.sqrt(counts.size)
 
 
 @dataclass(frozen=True)
@@ -353,10 +377,13 @@ def _point_row(cfg, point):
     """Report row of one grid point: its model, prediction and trial blocks in trial order."""
     model = PointModel.build(cfg, point)
     theory = accuracy.theory_point(model.gains, model.noise_stats())
-    sq_errors = np.empty((2, cfg.trials, point.n_elements - 1))
+    counts, slots = _batch_slots(cfg.trials)
+    sq_errors = np.zeros((counts.size, counts.max(), 2, point.n_elements - 1))
+    rows = sq_errors.reshape(-1, 2, point.n_elements - 1)
     for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
-        np.square(_trial_chunk(model, b), out=sq_errors[:, start:start + BLOCK_TRIALS])
-    (gain, phase), (gain_se, phase_se) = _rmse(sq_errors), _batch_stderr(sq_errors)
+        chunk = _trial_chunk(model, b)
+        rows[slots[start:start + BLOCK_TRIALS]] = np.square(chunk, out=chunk).transpose(1, 0, 2)
+    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors, counts)
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,
@@ -377,11 +404,14 @@ def _run(configs, workers):
     """Report rows of every grid point of ``configs``, in report order.
 
     Each (config, point) pair is one task (``_point_row``).  A call of one
-    task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs in process;
-    any other call maps its tasks on this process's pool of that size.  The
-    call holds ``_lock`` throughout, so calls from several threads run one
-    after another, and runs at one BLAS thread in the calling process; the
-    previous count comes back when it leaves, also when a task raises."""
+    task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs its tasks in
+    process in report order.  Any other call maps them on this process's pool
+    of that size longest first, by ``_cost`` with ties in report order, so
+    that the dearest points do not start last and run alone; the rows come
+    back in report order.  The call holds ``_lock`` throughout, so calls from
+    several threads run one after another, and runs at one BLAS thread in
+    the calling process; the previous count comes back when it leaves, also
+    when a task raises."""
     if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
         raise ConfigError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
@@ -393,14 +423,22 @@ def _run(configs, workers):
         try:
             if workers == 1 or len(tasks) == 1:
                 return tuple(map(_point_row, *zip(*tasks)))
+            order = sorted(range(len(tasks)), key=lambda i: -_cost(*tasks[i]))
             try:
-                return tuple(_worker_pool(workers).map(_point_row, *zip(*tasks)))
+                rows = _worker_pool(workers).map(_point_row, *zip(*(tasks[i] for i in order)))
+                by_task = dict(zip(order, rows))
             except BrokenProcessPool:
                 _close_pool()
                 raise
+            return tuple(by_task[i] for i in range(len(tasks)))
         finally:
             if blas is not None:
                 _set_blas_threads(blas)
+
+
+def _cost(cfg, point):
+    """Estimated relative cost of a point task: its trials times the stream length."""
+    return cfg.trials * (point.code_length + point.n_elements)
 
 
 _pool = None  # (workers, ProcessPoolExecutor, its shutdown finalizer); see _worker_pool

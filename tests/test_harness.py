@@ -187,6 +187,48 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="ev_n0_db"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("snr", [-5000.0, -2000.0, 2000.0, 5000.0])
+    def test_extreme_finite_snr_rejected(self, snr):
+        # Past float64's range these fail mid-run (OverflowError, ZeroDivisionError
+        # or overflow warnings) unless the config refuses them.
+        with pytest.raises(ConfigError, match="snr_grid_db"):
+            small_csms_config(snr_grid_db=(20.0, snr))
+        with pytest.raises(ConfigError, match="ev_n0_db"):
+            ScenarioConfig(scheme="OMA", code_length=4, v_grid=(2,), ev_n0_db=snr)
+        # The budget below gives 38 dB at an EIRP of 10 dBW.
+        budget = {"eirp_dbw": 10.0 + snr - 38.0, "path_loss_db": 200.0, "g_over_t_dbk": 30.0,
+                  "ts_seconds": 1e-3}
+        with pytest.raises(ConfigError, match="ev_n0_db"):
+            ScenarioConfig.from_dict({"scheme": "OMA", "code_length": 64, "v_grid": [4],
+                                      "link_budget": budget})
+
+    def test_link_budget_sum_overflow_rejected(self):
+        # Finite fields whose sum is +inf would otherwise run as noise-free.
+        budget = {"eirp_dbw": 1e308, "path_loss_db": -1e308, "g_over_t_dbk": 30.0,
+                  "ts_seconds": 1e-3}
+        with pytest.raises(ConfigError, match="link_budget gives no finite ev_n0_db"):
+            ScenarioConfig.from_dict({"scheme": "OMA", "code_length": 64, "v_grid": [4],
+                                      "link_budget": budget})
+
+    @pytest.mark.parametrize("scheme, length, elements", [("OMA", 4, 2), ("CSMS", 7, 2)])
+    def test_snr_range_edges_run_cleanly(self, scheme, length, elements):
+        # Within the range a point runs without a float warning, and the theory
+        # holds its pure-noise and its high-SNR value; just outside, the config fails.
+        low, high = harness._SNR_RANGE_DB
+
+        def theory(snr):
+            cfg = ScenarioConfig(scheme=scheme, code_length=length, n_elements=elements,
+                                 snr_grid_db=(snr,), trials=8)
+            row = run_scenario(cfg).rows[0]
+            return np.array([row.gain_rmse_theory_db, row.phase_rmse_theory_deg])
+
+        np.testing.assert_allclose(theory(low), theory(-300.0), rtol=1e-12)
+        np.testing.assert_allclose(theory(high), theory(300.0) * 10.0 ** ((300.0 - high) / 20.0),
+                                   rtol=1e-9)
+        for outside in (np.nextafter(low, -math.inf), np.nextafter(high, math.inf)):
+            with pytest.raises(ConfigError, match="snr_grid_db"):
+                small_csms_config(snr_grid_db=(float(outside),))
+
     def test_plus_inf_snr_means_noise_free(self):
         cfg = ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4,), ev_n0_db=math.inf)
         assert PointModel.build(cfg, scenario_points(cfg)[0]).noise_var == 0.0
@@ -328,10 +370,15 @@ class TestSingleChain:
         small_csms_config(n_elements=20, trials=3 * harness.BLOCK_TRIALS - 5),
         small_csms_config(n_elements=20, trials=3 * harness.BLOCK_TRIALS - 5,
                           phase_policy="per-trial"),
-    ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks"])
+        ScenarioConfig(scheme="OMA", code_length=8, n_elements=2, snr_grid_db=(10.0,),
+                       trials=300, master_seed=5),
+        ScenarioConfig(scheme="CSMS", code_length=31, n_elements=2, snr_grid_db=(20.0,),
+                       trials=130, master_seed=21),
+    ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks",
+            "OMA-V2", "CSMS-V2"])
     def test_run_trial_reproduces_report_row(self, cfg):
         # Every column sums each element's squared errors trial by trial, in
-        # trial order, also across blocks.
+        # trial order, also across blocks and with one non-reference element.
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])
@@ -355,8 +402,9 @@ class TestSingleChain:
         assert row.phase_rmse_sim_stderr == stderr(phase_sq)
 
     def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
-        # The point's (2, trials, V-1) buffer is the only array of trials x V
-        # size: blocks are squared into it and reduced in place.
+        # The point's (trials, 2, V-1) buffer, padded by at most one row per
+        # standard-error batch, is the only array of trials x V size: blocks
+        # are squared into it and reduced in place.
         cfg = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(255,), ev_n0_db=30.0,
                              trials=2000, master_seed=5)
         point = scenario_points(cfg)[0]
@@ -496,29 +544,47 @@ class TestWorkerCap:
 
 
 class TestPoolDispatch:
+    @staticmethod
+    def _mapped_pairs():
+        [(fn, (cfgs, points))] = _InProcessPool.mapped
+        assert fn is harness._point_row
+        assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
+        return list(zip(cfgs, points))
+
     def test_points_are_the_only_tasks(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        # 3 points x 2 blocks: the blocks stay inside their point's task.
-        cfg = small_csms_config(snr_grid_db=(10.0, 20.0, 30.0),
-                                trials=harness.BLOCK_TRIALS + 1)
+        # 3 points x 2 blocks: the blocks stay inside their point's task, which
+        # the pool gets dearest first; the rows come back in report order.
+        cfg = ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4, 30, 10), ev_n0_db=25.0,
+                             trials=harness.BLOCK_TRIALS + 1, master_seed=7)
         report = run_scenario(cfg, workers=2)
-        [(fn, (cfgs, points))] = _InProcessPool.mapped
         assert _InProcessPool.created == [2]
-        assert fn is harness._point_row
-        assert cfgs == [cfg] * 3
-        assert points == scenario_points(cfg)
-        assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
+        points = scenario_points(cfg)
+        assert self._mapped_pairs() == [(cfg, points[i]) for i in (1, 2, 0)]
+        assert [row.n_elements for row in report.rows] == [4, 30, 10]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
-        # A figure: one map over every (config, point) pair in report order, on the same pool.
+        # A figure: one map over every (config, point) pair, longest first, on the same pool.
         monkeypatch.setattr(_InProcessPool, "mapped", [])
         report = reproduce_figure("fig7", trials=2, workers=2)
-        [(fn, (cfgs, points))] = _InProcessPool.mapped
         assert _InProcessPool.created == [2]
-        assert fn is harness._point_row
-        assert list(zip(cfgs, points)) == [(c, p) for c in figure_configs("fig7", trials=2)
-                                           for p in scenario_points(c)]
+        in_report_order = [(c, p) for c in figure_configs("fig7", trials=2)
+                           for p in scenario_points(c)]
+        mapped = self._mapped_pairs()
+        assert mapped == sorted(in_report_order, key=lambda pair: -harness._cost(*pair))
+        assert [(p.code_length, p.n_elements) for _, p in mapped[:5]] == [
+            (511, 511), (511, 500), (511, 485), (511, 408), (511, 306)]
+        assert [(row.code_length, row.n_elements) for row in report.rows] == [
+            (p.code_length, p.n_elements) for _, p in in_report_order]
         assert report.to_csv_text() == reproduce_figure("fig7", trials=2).to_csv_text()
+
+    def test_tied_points_keep_report_order(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        # An SNR sweep: every point costs the same.
+        cfg = small_csms_config(snr_grid_db=(30.0, 10.0, 20.0), trials=3)
+        report = run_scenario(cfg, workers=2)
+        assert self._mapped_pairs() == [(cfg, p) for p in scenario_points(cfg)]
+        assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
 
 def _worker_blas_threads():
