@@ -437,7 +437,7 @@ def _run(configs, workers):
 
 
 def _cost(cfg, point):
-    """Estimated relative cost of a point task: its trials times the stream length."""
+    """Estimated relative cost of a point task, trials x (L + V)."""
     return cfg.trials * (point.code_length + point.n_elements)
 
 
