@@ -56,8 +56,9 @@ from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
 from .errors import ArrayCalError, ConfigError, DimensionError, UnknownFigure
-from .receiver import (ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate,
-                       wrap_degrees, zf_equalize)
+from .receiver import ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate, zf_equalize
+# Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
+from .receiver import wrap_degrees  # noqa: F401
 
 SCHEMES = ("OMA", "CSMS")
 PHASE_POLICIES = ("per-point", "per-trial")
@@ -69,6 +70,8 @@ BLOCK_TRIALS = 64  # the unit of randomness, synthesis and reception
 # SNR, stays in float64 range: t^2 must be normal, and at low SNR the squared
 # density denominators, up to (4 t e^(2R))^2 over the quadrature's window of
 # R = arccosh(eps^-1/2) nepers, where e^(2R) is about 4 / eps, must be finite.
+# The quadrature divides by a denominator twice instead of squaring it, which leaves
+# room at the low bound for the equalizer's noise gain, up to 541x at V = L = 1023.
 _SNR_RANGE_DB = (10.0 * math.log10(16.0 / (math.sqrt(np.finfo(float).max) * np.finfo(float).eps)),
                  -5.0 * math.log10(np.finfo(float).tiny))
 
@@ -213,8 +216,8 @@ class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
     ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``signal``
-    is ``_realize`` of the gains' phases, the truth phases and clean signal,
-    or None with per-trial phases: each trial block then draws its own.
+    is ``_realize`` of the gains' phases, the truth de-rotation and clean
+    signal, or None with per-trial phases: each trial block then draws its own.
     """
 
     point: GridPoint
@@ -247,16 +250,16 @@ class PointModel:
 
 
 def _realize(point, code, phases):
-    """Truth phase (deg) and noise-free receive signal of unit-amplitude gains,
-    whose truth gain is 0 dB.  ``phases`` is (V,) or a block of (T, V); the
+    """De-rotation conj(w) and noise-free receive signal of the unit-amplitude
+    gains w = exp(i phases), whose truth gain is 0 dB: an estimate times conj(w)
+    leaves its error alone.  ``phases`` is (V,) or a block of (T, V); the
     outputs carry the same leading axes."""
     w = np.exp(1j * phases)
-    truth_phase_deg = np.degrees(phases[..., 1:] - phases[..., :1])
     if point.scheme == "OMA":
         clean = w @ code.T
     else:
         clean = csms_clean_stream(code, w)
-    return truth_phase_deg, clean
+    return w.conj(), clean
 
 
 def _trial_chunk(model, block):
@@ -264,12 +267,13 @@ def _trial_chunk(model, block):
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
-    ``complex_awgn`` call.
+    ``complex_awgn`` call.  The estimates are de-rotated by the truth before
+    the readout, so its mismatch is the error itself, phase in (-180, 180].
     """
     point = model.point
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
     rng = rng_stream(model.master_seed, point.index, 1 + block)
-    truth_phase_deg, clean = model.signal or _realize(
+    derotate, clean = model.signal or _realize(
         point, model.code, rng.uniform(0.0, 2.0 * np.pi, (size, point.n_elements)))
     windows = clean + complex_awgn(rng, (size, clean.shape[-1]), model.noise_var)
     if point.scheme == "OMA":
@@ -277,8 +281,8 @@ def _trial_chunk(model, block):
     else:
         peaks = csms_peaks(model.code, point.n_elements, windows)
         estimates = zf_equalize(peaks, model.eq)
-    report = extract_mismatch(estimates)
-    return np.stack((report.gain_db, wrap_degrees(report.phase_deg - truth_phase_deg)))
+    report = extract_mismatch(estimates * derotate)
+    return np.stack((report.gain_db, report.phase_deg))
 
 
 def run_trial(cfg, point, trial_index):

@@ -26,8 +26,8 @@ def csms_peaks(code, n_elements, stream):
     peak[v] = sum_k code[k] * stream[k + v] for v < V = ``n_elements``, 1 <= V
     <= L: one matched filter output, read v samples after the first
     element's peak, as an FFT cross-correlation over the last axis of a
-    (..., n) stream batch.  Its length, a power of two >= n >= L + V - 1,
-    keeps lags unwrapped.
+    (..., n) stream batch.  Its length, the smallest >= n >= L + V - 1 with
+    no prime factor above 5, keeps lags unwrapped.
     """
     code = np.asarray(code)
     stream = np.asarray(stream)
@@ -38,11 +38,25 @@ def csms_peaks(code, n_elements, stream):
         raise DimensionError(
             f"stream of shape {stream.shape} too short for code length {length} "
             f"with {n_elements} elements")
-    n_fft = 1 << (stream.shape[-1] - 1).bit_length()
+    n_fft = _smooth_length(stream.shape[-1])
     spectrum = np.fft.fft(stream, n_fft) * np.conj(np.fft.fft(code, n_fft))
     # A gather, not a slice: its F-ordered (T, V) result fixes the order in
     # which zf_equalize sums the peaks, and so the report bytes.
     return np.fft.ifft(spectrum)[..., np.arange(n_elements)]
+
+
+def _smooth_length(n):
+    """Smallest integer >= n >= 1 with no prime factor above 5: mixed-radix
+    FFT cost follows the length's factors, so it beats the next power of two."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1  # each 3^i 5^j below best, times the least power of two reaching n
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,9 @@ def extract_mismatch(estimates):
 
     Invariant under any global complex scaling of the estimate vector.
     Element 0 of the last axis of a (V,) or (..., V) input is the reference.
+    One pass: the gain divides one magnitude array by its first column, and
+    the phase is the angle of e_v * conj(e_1), in (-180, 180] degrees with
+    -180 mapped to +180.
     """
     estimates = np.asarray(estimates)
     if estimates.ndim == 0 or estimates.shape[-1] < 2:
@@ -118,7 +135,8 @@ def extract_mismatch(estimates):
     ref = estimates[..., :1]
     if np.any(ref == 0):
         raise ReferenceZero("reference element estimate is zero")
-    return MismatchReport(
-        gain_db=20.0 * np.log10(np.abs(estimates[..., 1:]) / np.abs(ref)),
-        phase_deg=wrap_degrees(np.degrees(np.angle(estimates[..., 1:]) - np.angle(ref))),
-    )
+    magnitude = np.abs(estimates)
+    phase_deg = np.angle(estimates[..., 1:] * ref.conj(), deg=True)
+    phase_deg[phase_deg == -180.0] = 180.0
+    return MismatchReport(gain_db=20.0 * np.log10(magnitude[..., 1:] / magnitude[..., :1]),
+                          phase_deg=phase_deg)

@@ -28,6 +28,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, NegativeRadicand
 
@@ -107,8 +108,11 @@ def csms_peak_noise_cov(code, n_elements, noise_var):
     if n_elements > code.size:
         raise DimensionError(f"{n_elements} elements exceed code length {code.size}")
     lags = np.correlate(code, code, "full")[code.size - 1:code.size - 1 + n_elements]
-    idx = np.abs(np.subtract.outer(np.arange(n_elements), np.arange(n_elements)))
-    return float(noise_var) * lags[idx]
+    lags = float(noise_var) * np.concatenate((lags[:0:-1], lags))
+    # Over lags V-1, ..., 1, 0, 1, ..., V-1, row y starts y before lag 0, so entry z is
+    # lag |z - y|; the C-ordered copy keeps csms_gain_noise_stats' sums in their order.
+    step = lags.itemsize
+    return as_strided(lags[n_elements - 1:], (n_elements, n_elements), (-step, step)).copy()
 
 
 def csms_gain_noise_stats(eq, peak_cov):
@@ -404,7 +408,7 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi):
             e *= -det[i, None, None]
             e += (det + m)[i, None, None]
             dens *= e
-            area *= area
+            dens /= area  # twice: area^2 overflows at the low-SNR edge
             dens /= area
             pu = np.matmul(dens, wt[i, :, None])[:, :, 0] * wu[i]
             pt = np.matmul(wu[i, None, :], dens)[:, 0, :] * wt[i]

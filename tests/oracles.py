@@ -15,6 +15,8 @@ constants at each call.
 
 ``cyclic_shift`` and ``aperiodic_autocorrelation`` are the plain code
 operations the library's FFT stream synthesis and lag sums replace.
+``two_angle_mismatch`` is the readout as a difference of two angles,
+wrapped, which the library's one-pass readout replaces.
 
 The oversampled chip-level waveform model (rectangular chip pulse, chip
 matched filter, chip-rate sampling) shows that the oversampled picture
@@ -46,6 +48,16 @@ def aperiodic_autocorrelation(code, lag):
         return 0.0
     lag = int(lag)
     return float(np.dot(code[lag:], code[: code.size - lag]))
+
+
+def two_angle_mismatch(estimates):
+    """Gain (dB) and phase (deg, in (-180, 180]) of elements 2..V against element 1,
+    from two magnitudes and two angles per element."""
+    estimates = np.asarray(estimates)
+    gain_db = 20.0 * np.log10(np.abs(estimates[..., 1:]) / np.abs(estimates[..., :1]))
+    phase = np.degrees(np.angle(estimates[..., 1:]) - np.angle(estimates[..., :1]))
+    phase = np.mod(phase + 180.0, 360.0) - 180.0
+    return gain_db, np.where(phase == -180.0, 180.0, phase)
 
 
 def build_correlation_matrix(code, offsets):
@@ -110,7 +122,7 @@ def _block_moments(t1, tv, rho, dphi, u, wu, theta, wt):
     e *= -det[:, None, None]
     e += (det + m)[:, None, None]
     dens *= e
-    area *= area
+    dens /= area
     dens /= area
     wu *= exp_u * exp_u / np.pi
     pu = np.matmul(dens, wt[:, :, None])[:, :, 0] * wu

@@ -20,7 +20,7 @@ from arraycal.errors import ArrayCalError, ConfigError, NonMaximalPolynomial, Un
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
-from oracles import build_correlation_matrix
+from oracles import build_correlation_matrix, two_angle_mismatch
 
 
 def _wrap_deg(angle):
@@ -210,10 +210,13 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"scheme": "OMA", "code_length": 64, "v_grid": [4],
                                       "link_budget": budget})
 
-    @pytest.mark.parametrize("scheme, length, elements", [("OMA", 4, 2), ("CSMS", 7, 2)])
+    @pytest.mark.parametrize("scheme, length, elements",
+                             [("OMA", 4, 2), ("CSMS", 7, 2), ("CSMS", 63, 63), ("CSMS", 511, 511)])
     def test_snr_range_edges_run_cleanly(self, scheme, length, elements):
         # Within the range a point runs without a float warning, and the theory
         # holds its pure-noise and its high-SNR value; just outside, the config fails.
+        # At V = L the equalizer raises the element error variance up to 86x the
+        # noise variance at the low edge.
         low, high = harness._SNR_RANGE_DB
 
         def theory(snr):
@@ -400,6 +403,42 @@ class TestSingleChain:
         assert row.phase_rmse_sim_deg == rmse(phase_sq)
         assert row.gain_rmse_sim_stderr == stderr(gain_sq)
         assert row.phase_rmse_sim_stderr == stderr(phase_sq)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(scheme="OMA", code_length=16, n_elements=9, snr_grid_db=(10.0,),
+                       trials=130, master_seed=3),
+        ScenarioConfig(scheme="OMA", code_length=16, n_elements=9, snr_grid_db=(10.0,),
+                       trials=130, master_seed=3, phase_policy="per-trial"),
+        small_csms_config(n_elements=20, snr_grid_db=(10.0,), trials=130),
+        small_csms_config(n_elements=20, snr_grid_db=(10.0,), trials=130,
+                          phase_policy="per-trial"),
+    ], ids=["OMA", "OMA-per-trial", "CSMS", "CSMS-per-trial"])
+    def test_trial_chunk_matches_truth_subtracted_readout(self, cfg, monkeypatch):
+        # The chain reads out estimates de-rotated by the truth; reading the raw
+        # estimates out and then subtracting and wrapping the truth phase agrees.
+        point = scenario_points(cfg)[0]
+        model = PointModel.build(cfg, point)
+        estimates = []
+        for name in ("oma_estimate", "zf_equalize"):
+            def recorded(*args, original=getattr(harness, name)):
+                estimates.append(original(*args))
+                return estimates[-1]
+
+            monkeypatch.setattr(harness, name, recorded)
+        for block in range(3):
+            chunk = harness._trial_chunk(model, block)
+            raw = estimates[-1]
+            if cfg.phase_policy == "per-trial":
+                rng = rng_stream(cfg.master_seed, point.index, 1 + block)
+                phases = rng.uniform(0.0, 2.0 * np.pi, raw.shape)
+            else:
+                phases = model.gains.phases
+            gain_db, phase_deg = two_angle_mismatch(raw)
+            truth_deg = np.degrees(phases[..., 1:] - phases[..., :1])
+            assert chunk.shape == (2, *raw[:, 1:].shape)
+            np.testing.assert_allclose(chunk[0], gain_db, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(chunk[1], _wrap_deg(phase_deg - truth_deg),
+                                       rtol=0, atol=1e-12)
 
     def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
         # The point's (trials, 2, V-1) buffer, padded by at most one row per
@@ -897,12 +936,23 @@ TRACED_HARNESS_NAMES = ("rng_stream", "complex_awgn", "csms_clean_stream", "csms
                         "walsh_matrix", "ProcessPoolExecutor")
 TRACED_THEORY_NAMES = ("oma_noise_stats", "csms_peak_noise_cov", "csms_gain_noise_stats",
                        "theory_point", "average_rmse")
+# Traced names the run no longer calls: the readout de-rotates by the truth
+# instead of wrapping a difference of phases.
+UNCALLED_TRACED_NAMES = ("wrap_degrees",)
+
+
+def test_every_traced_name_is_in_its_namespace():
+    # The tracer patches each name through the owner's __dict__; a missing one
+    # stops every traced run.
+    assert [n for n in TRACED_HARNESS_NAMES if n not in harness.__dict__] == []
+    assert [n for n in TRACED_THEORY_NAMES if n not in harness.accuracy.__dict__] == []
 
 
 def test_figure_run_calls_every_traced_name(monkeypatch, fake_pool):
     # A name the run stops calling would read 0 in its per-layer benchmark line.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-    calls = dict.fromkeys((*TRACED_HARNESS_NAMES, *TRACED_THEORY_NAMES), 0)
+    called = [n for n in TRACED_HARNESS_NAMES if n not in UNCALLED_TRACED_NAMES]
+    calls = dict.fromkeys((*called, *TRACED_THEORY_NAMES), 0)
 
     def count(owner, name):
         original = getattr(owner, name)
@@ -913,7 +963,7 @@ def test_figure_run_calls_every_traced_name(monkeypatch, fake_pool):
 
         monkeypatch.setattr(owner, name, counted)
 
-    for name in TRACED_HARNESS_NAMES:
+    for name in called:
         count(harness, name)
     for name in TRACED_THEORY_NAMES:
         count(harness.accuracy, name)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -9,7 +10,7 @@ from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matri
 from arraycal.errors import DimensionError, ReferenceZero, SingularError
 from arraycal.receiver import (MismatchReport, ZfEqualizer, csms_peaks, extract_mismatch,
                                oma_estimate, wrap_degrees, zf_equalize)
-from oracles import build_correlation_matrix, zf_inverse_matrix
+from oracles import build_correlation_matrix, two_angle_mismatch, zf_inverse_matrix
 
 
 class TestOmaEstimate:
@@ -65,6 +66,31 @@ class TestCsmsPeaks:
         direct = [code @ stream[q:q + length] for q in range(n_elements)]
         np.testing.assert_allclose(csms_peaks(code, n_elements, stream), direct,
                                    rtol=0, atol=1e-13)
+
+    def test_equals_direct_sum_at_every_stream_length(self, monkeypatch):
+        # Any FFT length >= the stream length keeps the lags unwrapped; the one
+        # used is the least such length with no prime factor above 5.
+        def five_smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        fft, lengths = np.fft.fft, []
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda a, n=None, *args: lengths.append(n) or fft(a, n, *args))
+        rng = np.random.default_rng(32)
+        for length in (7, 15, 31, 63, 127):
+            code = msequence_code(length)
+            for n in range(length, 301):
+                n_elements = min(length, n - length + 1)
+                stream = complex_normal(rng, n)
+                direct = [code @ stream[q:q + length] for q in range(n_elements)]
+                lengths.clear()
+                np.testing.assert_allclose(csms_peaks(code, n_elements, stream), direct,
+                                           rtol=0, atol=1e-12)
+                least = next(m for m in itertools.count(n) if five_smooth(m))
+                assert lengths == [least, least], (length, n)
 
     def test_linearity(self):
         code = msequence_code(15)
@@ -195,6 +221,27 @@ class TestExtractMismatch:
     def test_zero_reference_rejected(self):
         with pytest.raises(ReferenceZero):
             extract_mismatch(np.array([0.0, 1.0 + 0j]))
+
+    def test_matches_two_angle_readout(self):
+        rng = np.random.default_rng(45)
+        estimates = complex_normal(rng, 64, 50) * rng.uniform(1e-3, 1e3, (64, 1))
+        report = extract_mismatch(estimates)
+        gain_db, phase_deg = two_angle_mismatch(estimates)
+        np.testing.assert_allclose(report.gain_db, gain_db, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(report.phase_deg, phase_deg, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reference, element", [
+        (1.0, complex(-1.0, 0.0)), (1.0, complex(-2.0, -0.0)),
+        (complex(-1.0, 0.0), complex(1.0, 0.0)), (complex(-3.0, 0.0), complex(0.5, 0.0)),
+        (1.0, complex(-1.0, -1e-300)), (1j, -1j)],
+        ids=["+0", "-0-element", "-0-product", "-0-product-scaled", "tiny-negative",
+             "imaginary"])
+    def test_opposite_phase_reads_plus_180(self, reference, element):
+        # In the -0 product and tiny-negative cases e_v * conj(e_1) has a negative
+        # imaginary part and an angle of exactly -180 degrees.
+        estimates = np.array([reference, element], dtype=complex)
+        assert extract_mismatch(estimates).phase_deg[0] == 180.0
+        assert two_angle_mismatch(estimates)[1][0] == 180.0
 
     def test_report_length(self):
         report = extract_mismatch(np.ones(5, dtype=complex))
