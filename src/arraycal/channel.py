@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 # dB form of the Boltzmann constant used by the link budget (configurable
 # per LinkBudget instance).
@@ -66,7 +66,13 @@ class LinkBudget:
 
     @classmethod
     def from_dict(cls, d):
-        """Build from a scenario file's ``link_budget`` object; bools and strings are refused."""
+        """Build from a scenario file's ``link_budget`` object; unknown fields, bools and
+        strings are refused."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"link_budget must be an object, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown link_budget fields: {sorted(unknown)}")
         values = {name: d[name] for name in ("eirp_dbw", "path_loss_db", "g_over_t_dbk",
                                              "ts_seconds")}
         values["kb_dbw_hz_k"] = d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K)

@@ -41,7 +41,8 @@ def csms_peaks(code, n_elements, stream):
     n_fft = _smooth_length(stream.shape[-1])
     spectrum = np.fft.fft(stream, n_fft) * np.conj(np.fft.fft(code, n_fft))
     # A gather, not a slice: its F-ordered (T, V) result fixes the order in
-    # which zf_equalize sums the peaks, and so the report bytes.
+    # which zf_equalize sums the peaks, and so the report bytes.  A (1, V)
+    # block (trials = 1 mod 64) is also C-ordered, so numpy sums it pairwise.
     return np.fft.ifft(spectrum)[..., np.arange(n_elements)]
 
 

@@ -1,4 +1,5 @@
 import ctypes.util
+import json
 import math
 import multiprocessing
 import os
@@ -9,18 +10,23 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import arraycal
 from arraycal import harness
+from arraycal.channel import LinkBudget
 from arraycal.codes import msequence_code
 from arraycal.errors import ArrayCalError, ConfigError, NonMaximalPolynomial, UnknownFigure
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
 from oracles import build_correlation_matrix, two_angle_mismatch
+
+SCENARIO_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "scenario_schema.json"
 
 
 def _wrap_deg(angle):
@@ -136,6 +142,26 @@ class TestScenarioConfig:
                                "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
         cfg = ScenarioConfig.from_dict(raw)
         assert cfg.ev_n0_db == pytest.approx(38.0)
+
+    def test_from_dict_rejects_unknown_link_budget_fields(self):
+        # A misspelt kb_dbw_hz_k would otherwise run at the default -228 dBW/Hz/K.
+        raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4],
+               "link_budget": {"eirp_dbw": 10.0, "path_loss_db": 200.0,
+                               "g_over_t_dbk": 30.0, "ts_seconds": 1e-3, "kb_dbw_hz": -200.0}}
+        with pytest.raises(ConfigError, match=r"unknown link_budget fields: \['kb_dbw_hz'\]"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_schema_matches_reader(self):
+        schema = json.loads(SCENARIO_SCHEMA.read_text())
+        config = fields(ScenarioConfig)
+        assert set(schema["properties"]) == (
+            {f.name for f in config} | {"link_budget", "amplitude_policy"})
+        assert set(schema["required"]) == {f.name for f in config if f.default is MISSING}
+        budget = schema["properties"]["link_budget"]
+        assert budget["additionalProperties"] is False
+        assert set(budget["properties"]) == {f.name for f in fields(LinkBudget)}
+        assert set(budget["required"]) == {
+            f.name for f in fields(LinkBudget) if f.default is MISSING}
 
     def test_from_dict_link_budget_conflicts_with_ev_n0(self):
         raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4], "ev_n0_db": 20.0,
@@ -377,11 +403,13 @@ class TestSingleChain:
                        trials=300, master_seed=5),
         ScenarioConfig(scheme="CSMS", code_length=31, n_elements=2, snr_grid_db=(20.0,),
                        trials=130, master_seed=21),
+        small_csms_config(n_elements=50, trials=harness.BLOCK_TRIALS + 1),
     ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks",
-            "OMA-V2", "CSMS-V2"])
+            "OMA-V2", "CSMS-V2", "CSMS-one-trial-last-block"])
     def test_run_trial_reproduces_report_row(self, cfg):
         # Every column sums each element's squared errors trial by trial, in
-        # trial order, also across blocks and with one non-reference element.
+        # trial order, also across blocks and with one non-reference element,
+        # and a one-trial last block, whose peaks numpy sums pairwise.
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])

@@ -293,6 +293,8 @@ class TestBatchAxes:
     def test_batched_csms_peaks_are_summed_in_element_order(self):
         # The report bytes rest on this: zf_equalize adds the 50 peaks of each
         # row one after another, not pairwise as it would a C-ordered batch.
+        # A one-trial block is C-ordered too and is summed pairwise;
+        # test_run_trial_reproduces_report_row pins the report across one.
         code = msequence_code(63)
         eq = ZfEqualizer.for_dimensions(63, 50)
         peaks = csms_peaks(code, 50, complex_normal(np.random.default_rng(44), 64, 63 + 49))

@@ -386,42 +386,6 @@ class TestGaussHermite:
         for k in range(n):  # exact up to degree 2n - 1
             assert np.sum(w * y ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
 
-    def test_matches_numpy_hermgauss(self):
-        from numpy.polynomial.hermite import hermgauss
-        y, w = theory._gauss_hermite(theory.GH_NODES)
-        nodes, weights = hermgauss(theory.GH_NODES)
-        np.testing.assert_allclose(y, nodes, rtol=0, atol=4e-15)
-        np.testing.assert_allclose(w, weights, rtol=4e-14)
-
-    def test_theory_point_loads_no_polynomial_module(self):
-        src = os.path.dirname(os.path.dirname(arraycal.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        child = subprocess.run([sys.executable, "-c", POLYNOMIAL_MODULE_SCRIPT], env=env,
-                               capture_output=True, text=True, timeout=120, check=True)
-        in_regime, loaded = child.stdout.split()
-        assert int(in_regime) > 0 and loaded == "False"
-
-
-# Theory of one CSMS point; prints its Gauss-Hermite element count and whether
-# numpy.polynomial got loaded.
-POLYNOMIAL_MODULE_SCRIPT = """
-import sys
-import numpy as np
-from arraycal import theory
-from arraycal.channel import ElementGains
-from arraycal.codes import msequence_code
-from arraycal.receiver import ZfEqualizer
-
-gains = ElementGains.with_random_phases(60, np.random.default_rng(3))
-eq = ZfEqualizer.for_dimensions(127, 60)
-stats = theory.csms_gain_noise_stats(eq, theory.csms_peak_noise_cov(msequence_code(127), 60, 1e-3))
-theory.theory_point(gains, stats)
-near = (np.maximum(stats.variances[1:], stats.variances[0]) <= theory.GH_MAX_SNR_INV) & (
-    np.abs(stats.correlations) <= theory.GH_MAX_RHO)
-print(int(near.sum()), "numpy.polynomial" in sys.modules)
-"""
-
 
 def hermite_regime_inputs(count, seed):
     """Random (t1, tv, rho, dphi) inside the Gauss-Hermite regime, then its corner:
