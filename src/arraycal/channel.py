@@ -66,19 +66,20 @@ class LinkBudget:
 
     @classmethod
     def from_dict(cls, d):
-        """Build from a scenario file's ``link_budget`` object; unknown fields, bools and
-        strings are refused."""
+        """Build from a scenario file's ``link_budget`` object; unknown or missing fields,
+        bools and strings are refused with ``ConfigError``."""
         if not isinstance(d, dict):
             raise ConfigError(f"link_budget must be an object, got {d!r}")
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown link_budget fields: {sorted(unknown)}")
-        values = {name: d[name] for name in ("eirp_dbw", "path_loss_db", "g_over_t_dbk",
-                                             "ts_seconds")}
-        values["kb_dbw_hz_k"] = d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K)
+        missing = {"eirp_dbw", "path_loss_db", "g_over_t_dbk", "ts_seconds"} - set(d)
+        if missing:
+            raise ConfigError(f"link_budget is missing fields {sorted(missing)}")
+        values = dict(d, kb_dbw_hz_k=d.get("kb_dbw_hz_k", BOLTZMANN_DBW_HZ_K))
         for name, v in values.items():
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise TypeError(f"{name} must be a number, got {v!r}")
+                raise ConfigError(f"link_budget field {name} must be a number, got {v!r}")
         return cls(**{name: float(v) for name, v in values.items()})
 
 

@@ -29,9 +29,10 @@ noise, all T x n real parts before all T x n imaginary parts.  Block size
 is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
-count.  A point's squared errors, and each standard-error batch's, are
-summed trial by trial in trial order, for both schemes and phase policies
-and at every element count.
+count.  Trial t belongs to standard-error batch t mod B, B =
+``min(STDERR_BATCHES, trials)``.  A point's squared errors, and each batch's,
+are summed trial by trial in trial order, for both schemes and phase
+policies and at every element count.
 """
 
 import csv
@@ -55,7 +56,7 @@ from . import theory as accuracy
 from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
-from .errors import ArrayCalError, ConfigError, DimensionError, UnknownFigure
+from .errors import ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
 from .receiver import ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate, zf_equalize
 # Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
 from .receiver import wrap_degrees  # noqa: F401
@@ -137,12 +138,19 @@ class ScenarioConfig:
                 raise ConfigError(f"snr_grid_db and ev_n0_db must be +inf or within "
                                   f"[{low:.1f}, {high:.1f}] dB, got {snr}")
         # Fails here, not mid-run, on an unsupported length or non-primitive explicit taps.
-        if self.taps is not None:
-            if self.scheme != "CSMS":
-                raise ConfigError("taps only apply to the CSMS scheme")
-            msequence_code(self.code_length, self.taps)
-        elif self.scheme == "CSMS":
-            object.__setattr__(self, "taps", default_taps_for_length(self.code_length))
+        if self.taps is not None and self.scheme != "CSMS":
+            raise ConfigError("taps only apply to the CSMS scheme")
+        if self.scheme == "CSMS":
+            try:
+                default_taps = default_taps_for_length(self.code_length)
+            except DimensionError as e:
+                raise ConfigError(f"invalid code_length: {e}") from e
+            try:
+                if self.taps is not None:
+                    msequence_code(self.code_length, self.taps)
+            except (DimensionError, NonMaximalPolynomial) as e:
+                raise ConfigError(f"invalid taps: {e}") from e
+            object.__setattr__(self, "taps", self.taps or default_taps)
         if self.scheme == "OMA" and self.code_length & (self.code_length - 1) != 0:
             raise ConfigError(f"OMA requires a power-of-two code length, got {self.code_length}")
 
@@ -176,9 +184,7 @@ class ScenarioConfig:
                 raise ConfigError("give either ev_n0_db or link_budget, not both")
             try:
                 d["ev_n0_db"] = ev_n0_from_link_budget(LinkBudget.from_dict(d.pop("link_budget")))
-            except KeyError as e:
-                raise ConfigError(f"link_budget is missing field {e}") from None
-            except (TypeError, DimensionError) as e:
+            except DimensionError as e:
                 raise ConfigError(f"link_budget gives no finite ev_n0_db: {e}") from None
             if not math.isfinite(d["ev_n0_db"]):  # finite fields whose sum overflows
                 raise ConfigError(f"link_budget gives no finite ev_n0_db: {d['ev_n0_db']}")
@@ -263,7 +269,7 @@ def _realize(point, code, phases):
 
 
 def _trial_chunk(model, block):
-    """(2, T, V-1) stacked gain and phase errors of one trial block, received in one pass.
+    """(T, 2, V-1) gain and phase errors of one trial block, received in one pass.
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
@@ -282,7 +288,7 @@ def _trial_chunk(model, block):
         peaks = csms_peaks(model.code, point.n_elements, windows)
         estimates = zf_equalize(peaks, model.eq)
     report = extract_mismatch(estimates * derotate)
-    return np.stack((report.gain_db, report.phase_deg))
+    return np.stack((report.gain_db, report.phase_deg), axis=1)
 
 
 def run_trial(cfg, point, trial_index):
@@ -290,16 +296,7 @@ def run_trial(cfg, point, trial_index):
     if not 0 <= trial_index < cfg.trials:
         raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
     block, row = divmod(trial_index, BLOCK_TRIALS)
-    return tuple(_trial_chunk(PointModel.build(cfg, point), block)[:, row])
-
-
-def _batch_slots(trials):
-    """Trial counts of the standard-error batches, and each trial's row in a
-    buffer that gives every batch as many rows as the largest, zeros after its trials."""
-    edges = np.linspace(0, trials, min(STDERR_BATCHES, trials) + 1).astype(int)
-    counts = np.diff(edges)
-    first_rows = np.arange(counts.size) * counts.max()
-    return counts, np.arange(trials) + np.repeat(first_rows - edges[:-1], counts)
+    return tuple(_trial_chunk(PointModel.build(cfg, point), block)[row])
 
 
 def _rmse(sq_sums, trials):
@@ -307,19 +304,20 @@ def _rmse(sq_sums, trials):
     return np.sqrt(sq_sums / trials).mean(axis=-1)
 
 
-def _reduce(sq_errors, counts):
-    """(gain, phase) RMSEs and their batch-means standard errors.
-
-    ``sq_errors`` is the (batches, rows, 2, V-1) buffer of ``_batch_slots``.
-    Both sums run over an axis outside the C-ordered (2, V-1) rows, which numpy
-    adds row by row, so they are in trial order at every V; padding adds zeros."""
-    rmse = _rmse(sq_errors.reshape(-1, *sq_errors.shape[2:]).sum(axis=0), counts.sum())
-    if counts.size < 2:
+def _reduce(sq_errors, trials):
+    """(gain, phase) RMSEs and batch-means standard errors of ``_point_row``'s (rows, B, 2,
+    V-1) buffer: trial t at flat row t, in batch t mod B, then zeros.  Both sums run over an
+    axis outside the C-ordered (2, V-1) rows, which numpy adds row by row, so they are in
+    trial order at every V."""
+    batches = sq_errors.shape[1]
+    rmse = _rmse(sq_errors.reshape(-1, *sq_errors.shape[2:]).sum(axis=0), trials)
+    if batches < 2:
         return rmse, np.zeros(2)
+    counts = trials // batches + (np.arange(batches) < trials % batches)
     # std over a contiguous (2, batches) array sums each column's batches the
     # way it sums one column's batch RMSEs alone.
-    vals = np.ascontiguousarray(_rmse(sq_errors.sum(axis=1), counts[:, None, None]).T)
-    return rmse, vals.std(axis=1, ddof=1) / np.sqrt(counts.size)
+    vals = np.ascontiguousarray(_rmse(sq_errors.sum(axis=0), counts[:, None, None]).T)
+    return rmse, vals.std(axis=1, ddof=1) / np.sqrt(batches)
 
 
 @dataclass(frozen=True)
@@ -381,13 +379,13 @@ def _point_row(cfg, point):
     """Report row of one grid point: its model, prediction and trial blocks in trial order."""
     model = PointModel.build(cfg, point)
     theory = accuracy.theory_point(model.gains, model.noise_stats())
-    counts, slots = _batch_slots(cfg.trials)
-    sq_errors = np.zeros((counts.size, counts.max(), 2, point.n_elements - 1))
+    batches = min(STDERR_BATCHES, cfg.trials)
+    sq_errors = np.zeros((-(-cfg.trials // batches), batches, 2, point.n_elements - 1))
     rows = sq_errors.reshape(-1, 2, point.n_elements - 1)
     for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
         chunk = _trial_chunk(model, b)
-        rows[slots[start:start + BLOCK_TRIALS]] = np.square(chunk, out=chunk).transpose(1, 0, 2)
-    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors, counts)
+        np.square(chunk, out=rows[start:start + len(chunk)])
+    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors, cfg.trials)
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,

@@ -4,7 +4,7 @@ import pytest
 from arraycal.channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                               ev_n0_from_link_budget, noise_var_from_snr)
 from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matrix
-from arraycal.errors import DimensionError
+from arraycal.errors import ConfigError, DimensionError
 from arraycal.harness import (PointModel, ScenarioConfig, _realize, figure_configs, rng_stream,
                               scenario_points)
 from oracles import cyclic_shift
@@ -58,6 +58,18 @@ class TestLinkBudget:
         lb = LinkBudget.from_dict({"eirp_dbw": 1, "path_loss_db": 2, "g_over_t_dbk": 3,
                                    "ts_seconds": 1.0, "kb_dbw_hz_k": -228.6})
         assert lb.kb_dbw_hz_k == -228.6
+
+    @pytest.mark.parametrize("d, message", [
+        ({"eirp_dbw": 1, "path_loss_db": 2, "g_over_t_dbk": 3},
+         r"missing fields \['ts_seconds'\]"),
+        ({"eirp_dbw": 1, "path_loss_db": "2", "g_over_t_dbk": 3, "ts_seconds": 1.0},
+         "path_loss_db must be a number"),
+        ({"eirp_dbw": 1, "path_loss_db": 2, "g_over_t_dbk": 3, "ts_seconds": 1.0,
+          "kb_dbw_hz_k": None}, "kb_dbw_hz_k must be a number"),
+    ], ids=["missing", "str-field", "null-boltzmann"])
+    def test_from_dict_refusals_are_config_errors(self, d, message):
+        with pytest.raises(ConfigError, match=message):
+            LinkBudget.from_dict(d)
 
     def test_positive_duration_required(self):
         with pytest.raises(DimensionError):

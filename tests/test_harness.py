@@ -20,7 +20,8 @@ import arraycal
 from arraycal import harness
 from arraycal.channel import LinkBudget
 from arraycal.codes import msequence_code
-from arraycal.errors import ArrayCalError, ConfigError, NonMaximalPolynomial, UnknownFigure
+from arraycal.errors import (ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial,
+                            UnknownFigure)
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
@@ -66,9 +67,10 @@ class TestScenarioConfig:
         cfg = small_csms_config()
         assert cfg.taps == (6, 5, 3, 2)
 
-    def test_csms_unsupported_length(self):
-        with pytest.raises(Exception):
-            ScenarioConfig(scheme="CSMS", code_length=60, n_elements=4,
+    @pytest.mark.parametrize("length", [60, 2047])
+    def test_csms_unsupported_length(self, length):
+        with pytest.raises(ConfigError, match="code_length"):
+            ScenarioConfig(scheme="CSMS", code_length=length, n_elements=4,
                            snr_grid_db=(10.0,))
 
     def test_v_grid_needs_snr(self):
@@ -91,9 +93,12 @@ class TestScenarioConfig:
         cfg = small_csms_config(trials=np.int64(64), n_elements=np.int32(6))
         assert cfg == small_csms_config()
 
-    def test_non_primitive_taps_rejected_at_config_time(self):
-        with pytest.raises(NonMaximalPolynomial):
-            small_csms_config(taps=(6, 3))
+    @pytest.mark.parametrize("taps, cause", [((6, 3), NonMaximalPolynomial),
+                                             ((5, 2), DimensionError)])
+    def test_non_primitive_taps_rejected_at_config_time(self, taps, cause):
+        with pytest.raises(ConfigError, match="taps") as info:
+            small_csms_config(taps=taps)
+        assert type(info.value.__cause__) is cause
 
     @pytest.mark.parametrize("field, value", [
         ("trials", "x"),
@@ -142,6 +147,12 @@ class TestScenarioConfig:
                                "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
         cfg = ScenarioConfig.from_dict(raw)
         assert cfg.ev_n0_db == pytest.approx(38.0)
+
+    def test_from_dict_rejects_missing_link_budget_fields(self):
+        raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4],
+               "link_budget": {"eirp_dbw": 10.0, "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
+        with pytest.raises(ConfigError, match=r"link_budget is missing fields \['path_loss_db'\]"):
+            ScenarioConfig.from_dict(raw)
 
     def test_from_dict_rejects_unknown_link_budget_fields(self):
         # A misspelt kb_dbw_hz_k would otherwise run at the default -228 dBW/Hz/K.
@@ -404,17 +415,21 @@ class TestSingleChain:
         ScenarioConfig(scheme="CSMS", code_length=31, n_elements=2, snr_grid_db=(20.0,),
                        trials=130, master_seed=21),
         small_csms_config(n_elements=50, trials=harness.BLOCK_TRIALS + 1),
+        small_csms_config(trials=10),
+        small_csms_config(trials=1),
     ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks",
-            "OMA-V2", "CSMS-V2", "CSMS-one-trial-last-block"])
+            "OMA-V2", "CSMS-V2", "CSMS-one-trial-last-block", "CSMS-one-trial-per-batch",
+            "CSMS-one-trial"])
     def test_run_trial_reproduces_report_row(self, cfg):
         # Every column sums each element's squared errors trial by trial, in
         # trial order, also across blocks and with one non-reference element,
-        # and a one-trial last block, whose peaks numpy sums pairwise.
+        # and a one-trial last block, whose peaks numpy sums pairwise.  Batch k
+        # of the standard error holds trials k, k + B, k + 2B, ...
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])
         phase_sq = np.array([p**2 for _, p in errors])
-        edges = np.linspace(0, cfg.trials, harness.STDERR_BATCHES + 1).astype(int)
+        n_batches = min(harness.STDERR_BATCHES, cfg.trials)
 
         def rmse(sq):
             acc = np.zeros(sq.shape[1])
@@ -423,8 +438,10 @@ class TestSingleChain:
             return float(np.sqrt(acc / len(sq)).mean())
 
         def stderr(sq):
-            batches = np.array([rmse(sq[a:b]) for a, b in zip(edges[:-1], edges[1:])])
-            return float(batches.std(ddof=1) / np.sqrt(len(batches)))
+            if n_batches < 2:
+                return 0.0
+            batches = np.array([rmse(sq[k::n_batches]) for k in range(n_batches)])
+            return float(batches.std(ddof=1) / np.sqrt(n_batches))
 
         row = run_scenario(cfg).rows[0]
         assert row.gain_rmse_sim_db == rmse(gain_sq)
@@ -463,14 +480,14 @@ class TestSingleChain:
                 phases = model.gains.phases
             gain_db, phase_deg = two_angle_mismatch(raw)
             truth_deg = np.degrees(phases[..., 1:] - phases[..., :1])
-            assert chunk.shape == (2, *raw[:, 1:].shape)
-            np.testing.assert_allclose(chunk[0], gain_db, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(chunk[1], _wrap_deg(phase_deg - truth_deg),
+            assert chunk.shape == (raw.shape[0], 2, raw.shape[1] - 1)
+            np.testing.assert_allclose(chunk[:, 0], gain_db, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(chunk[:, 1], _wrap_deg(phase_deg - truth_deg),
                                        rtol=0, atol=1e-12)
 
     def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
-        # The point's (trials, 2, V-1) buffer, padded by at most one row per
-        # standard-error batch, is the only array of trials x V size: blocks
+        # The point's (trials, 2, V-1) buffer, padded by at most B - 1 rows
+        # after its last trial, is the only array of trials x V size: blocks
         # are squared into it and reduced in place.
         cfg = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(255,), ev_n0_db=30.0,
                              trials=2000, master_seed=5)
@@ -494,9 +511,9 @@ class TestSingleChain:
         harness._trial_chunk(model, 0)
         after = [harness._trial_chunk(model, b) for b in (2, 1)][::-1]
         for a, b in zip(fresh, after):
-            np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
-        assert fresh[1][0].shape == (harness.BLOCK_TRIALS - 5, 5)
+            np.testing.assert_array_equal(a[:, 0], b[:, 0])
+            np.testing.assert_array_equal(a[:, 1], b[:, 1])
+        assert fresh[1][:, 0].shape == (harness.BLOCK_TRIALS - 5, 5)
         assert model.signal is None
         np.testing.assert_array_equal(model.gains.phases, phases)
 
