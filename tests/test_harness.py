@@ -116,10 +116,11 @@ class TestScenarioConfig:
                          "g_over_t_dbk": 30.0, "ts_seconds": True}),
         ("link_budget", {"eirp_dbw": 10.0, "path_loss_db": 200.0,
                          "g_over_t_dbk": 30.0, "ts_seconds": 1e-3, "kb_dbw_hz_k": "-228"}),
+        ("link_budget", {"eirp_dbw": 10.0, "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}),
     ], ids=["trials-str", "snr_grid-number", "snr_grid-str", "v_grid-str", "ev_n0-str",
             "taps-str-entry", "link_budget-str-field", "link_budget-str",
             "link_budget-numeric-str-field", "link_budget-bool-field",
-            "link_budget-numeric-str-boltzmann"])
+            "link_budget-numeric-str-boltzmann", "link_budget-missing-field"])
     def test_from_dict_wrong_typed_field_is_config_error(self, field, value):
         if field in ("snr_grid_db", "trials", "taps"):
             raw = {"scheme": "CSMS", "code_length": 63, "n_elements": 6, "snr_grid_db": [25.0]}
@@ -147,12 +148,6 @@ class TestScenarioConfig:
                                "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
         cfg = ScenarioConfig.from_dict(raw)
         assert cfg.ev_n0_db == pytest.approx(38.0)
-
-    def test_from_dict_rejects_missing_link_budget_fields(self):
-        raw = {"scheme": "OMA", "code_length": 64, "v_grid": [4],
-               "link_budget": {"eirp_dbw": 10.0, "g_over_t_dbk": 30.0, "ts_seconds": 1e-3}}
-        with pytest.raises(ConfigError, match=r"link_budget is missing fields \['path_loss_db'\]"):
-            ScenarioConfig.from_dict(raw)
 
     def test_from_dict_rejects_unknown_link_budget_fields(self):
         # A misspelt kb_dbw_hz_k would otherwise run at the default -228 dBW/Hz/K.
