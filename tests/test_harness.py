@@ -67,11 +67,11 @@ class TestScenarioConfig:
         cfg = small_csms_config()
         assert cfg.taps == (6, 5, 3, 2)
 
-    @pytest.mark.parametrize("length", [60, 2047])
-    def test_csms_unsupported_length(self, length):
-        with pytest.raises(ConfigError, match="code_length"):
-            ScenarioConfig(scheme="CSMS", code_length=length, n_elements=4,
-                           snr_grid_db=(10.0,))
+    def test_csms_unsupported_length(self):
+        for length in (60, 2047):
+            with pytest.raises(ConfigError, match="code_length"):
+                ScenarioConfig(scheme="CSMS", code_length=length, n_elements=4,
+                               snr_grid_db=(10.0,))
 
     def test_v_grid_needs_snr(self):
         with pytest.raises(ConfigError):
@@ -93,12 +93,11 @@ class TestScenarioConfig:
         cfg = small_csms_config(trials=np.int64(64), n_elements=np.int32(6))
         assert cfg == small_csms_config()
 
-    @pytest.mark.parametrize("taps, cause", [((6, 3), NonMaximalPolynomial),
-                                             ((5, 2), DimensionError)])
-    def test_non_primitive_taps_rejected_at_config_time(self, taps, cause):
-        with pytest.raises(ConfigError, match="taps") as info:
-            small_csms_config(taps=taps)
-        assert type(info.value.__cause__) is cause
+    def test_non_primitive_taps_rejected_at_config_time(self):
+        for taps, cause in (((6, 3), NonMaximalPolynomial), ((5, 2), DimensionError)):
+            with pytest.raises(ConfigError, match="taps") as info:
+                small_csms_config(taps=taps)
+            assert type(info.value.__cause__) is cause
 
     @pytest.mark.parametrize("field, value", [
         ("trials", "x"),
