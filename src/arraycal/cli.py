@@ -62,10 +62,16 @@ def _cmd_theory_eval(args):
                                  n_elements=args.elements, snr_grid_db=(args.ev_n0_db,),
                                  master_seed=args.seed, taps=args.taps)
     model = harness.PointModel.build(cfg, harness.scenario_points(cfg)[0])
-    point = accuracy.closed_form_point(model.gains, model.noise_stats())
+    stats = model.noise_stats()
+    point = accuracy.closed_form_point(model.gains, stats)
+    exact = accuracy.theory_point(model.gains, stats)
     print(f"scheme={args.scheme} V={args.elements} L={args.length} EvN0={args.ev_n0_db} dB")
     print(f"gain RMSE (element-averaged): {accuracy.average_rmse(point.gain_rmse_db):.6g} dB")
     print(f"phase RMSE (element-averaged): {accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
+    # The theory columns of a report, whose repr they print.
+    print(f"exact gain RMSE (element-averaged): {accuracy.average_rmse(exact.gain_rmse_db)!r} dB")
+    print(f"exact phase RMSE (element-averaged): "
+          f"{accuracy.average_rmse(exact.phase_rmse_deg)!r} deg")
     return 0
 
 
@@ -123,9 +129,12 @@ def build_parser():
     check.add_argument("--taps", type=_parse_taps, default=None)
     check.set_defaults(func=_cmd_codes_check)
 
-    ev = sub.add_parser("theory", help="the paper's closed-form accuracy prediction")
+    ev = sub.add_parser("theory", help="accuracy predictions: the paper's closed form and "
+                                       "the exact error model")
     ev_sub = ev.add_subparsers(dest="theory_command", required=True)
-    evp = ev_sub.add_parser("eval", help="evaluate the closed form's element-averaged RMSEs")
+    evp = ev_sub.add_parser(
+        "eval", help="element-averaged RMSEs of one point: the paper's closed form, a high-SNR "
+                     "expansion, then the exact model that reports print")
     evp.add_argument("--scheme", choices=harness.SCHEMES, required=True)
     evp.add_argument("--elements", type=int, required=True)
     evp.add_argument("--length", type=int, required=True)

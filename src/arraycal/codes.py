@@ -4,9 +4,12 @@ Two code families are supported: maximal-length LFSR sequences
 (m-sequences, odd length 2^r - 1) for the cyclic-shift scheme, and
 Walsh columns of a Sylvester-Hadamard matrix (power-of-two length) for
 the orthogonal scheme.  Bipolar codes are normalized so that a code's
-inner product with itself is exactly 1.
+inner product with itself is exactly 1.  ``msequence_code`` and
+``walsh_matrix`` build each distinct code once per process and hand out
+a fresh, writable copy on every call.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,10 +114,17 @@ def walsh_matrix(length, count):
         raise DimensionError(f"Walsh code length must be a power of two, got {length}")
     if not 1 <= count <= length:
         raise DimensionError(f"cannot draw {count} codes of length {length}")
+    return _walsh_columns(length, int(count - 1).bit_length())[:, :count].copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _walsh_columns(length, bits):
+    # Keyed by the 2^bits columns built, not by count, so that each length holds at
+    # most log2(length) + 1 matrices, of 2 L^2 floats in all, whatever counts are asked.
     h = np.ones((length, 1))
-    for bit in range(int(count - 1).bit_length()):
+    for bit in range(bits):
         h = np.hstack((h, h * (1.0 - 2.0 * (np.arange(length)[:, None] >> bit & 1))))
-    return h[:, :count] / np.sqrt(length)
+    return h / np.sqrt(length)
 
 
 def periodic_autocorrelation(code, lag):
@@ -127,6 +137,12 @@ def periodic_autocorrelation(code, lag):
 
 def msequence_code(length, taps=None):
     """Convenience: normalized bipolar m-sequence of ``length`` = 2^r - 1 chips."""
+    return _msequence_code(length, None if taps is None else tuple(taps)).copy()
+
+
+@functools.lru_cache(maxsize=None)
+def _msequence_code(length, taps):
+    # A raised error is not cached: bad taps fail on every call.
     degree = int(length + 1).bit_length() - 1
     if 2**degree - 1 != length:
         raise DimensionError(f"{length} is not of the form 2^r - 1")

@@ -11,12 +11,14 @@ statistics.  ``theory_point`` evaluates the error model exactly, by
 deterministic quadrature over the density of z_v / z_1; this is what
 reports print.  Two product rules share that quadrature.  In the
 high-SNR regime (both var / amp^2 at most GH_MAX_SNR_INV and |rho| at
-most GH_MAX_RHO) the log-ratio is close to Gaussian, and a
-GH_NODES-point Gauss-Hermite rule per axis reaches 1e-9 relative with
-576 density cells.  Every other element, the V = L elements of the
-cyclic-shift scheme among them, gets a QUAD_NODES-point Gauss-Legendre
-rule on a sinh-mapped window.  The QUAD_* and GH_* constants below are
-the only way to set these rules, and every call reads them.
+most GH_MAX_RHO) the log-ratio is close to Gaussian, and a Gauss-Hermite
+rule per axis reaches 1e-9 relative; the GH_NODES table sets its node
+count by the element's larger var / amp^2, from 10 nodes (100 density
+cells) at 3e-4 or less to 24 (576 cells) at the regime's bound.  Every
+other element, the V = L elements of the cyclic-shift scheme among
+them, gets a QUAD_NODES-point Gauss-Legendre rule on a sinh-mapped
+window.  The QUAD_* and GH_* constants below are the only way to set
+these rules, and every call reads them.
 ``closed_form_point`` (``gain_rmse_theory`` and ``phase_rmse_theory`` per
 element) is the paper's closed form, a high-SNR expansion of the same
 model.  For equal, uncorrelated errors it falls 0.04% short of the exact
@@ -41,11 +43,14 @@ QUAD_NODES = 40
 QUAD_WIDTH = 9.0
 QUAD_TAIL = 1e-8
 # Elements with max(t1, tv) <= GH_MAX_SNR_INV and |rho| <= GH_MAX_RHO
-# (t = var / amp^2) use a GH_NODES-point Gauss-Hermite rule per axis instead;
-# within 1e-9 relative there, where a |rho| bound of 0.9 would reach 1.4e-8.
-GH_NODES = 24
+# (t = var / amp^2) use a Gauss-Hermite rule per axis instead; within 1e-9
+# relative there, where a |rho| bound of 0.9 would reach 1.4e-8.  GH_NODES
+# gives its node count: row (bound, nodes) serves the elements whose
+# max(t1, tv) lies above the previous row's bound and at most its own, and
+# two nodes fewer would miss 1e-9 at that bound.
 GH_MAX_SNR_INV = 0.01
 GH_MAX_RHO = 0.75
+GH_NODES = ((3e-4, 10), (1e-3, 12), (2e-3, 14), (3e-3, 16), (5e-3, 18), (GH_MAX_SNR_INV, 24))
 # Elements per block of the quadrature: each of its three (block, nodes,
 # nodes) float64 temporaries stays at or below this many bytes.
 _CHUNK_BYTES = 1 << 17
@@ -253,22 +258,27 @@ def _sinh_rule(scale, reach, nodes):
 
 
 def _product_rules(t1, tv, rho, m):
-    """The quadrature's two product rules and the elements each one integrates.
+    """The quadrature's product rules and the elements each one integrates.
 
-    Yields (rows, step, rule) for the Gauss-Hermite rule, then the sinh
-    rule: the indices of the live elements (m != 0) on it, how many of
-    them one chunk of _CHUNK_BYTES holds, and a function that returns
-    (u, wu, theta, wt), each of shape (len(i), nodes), for the elements
-    i.  Elements with max(t1, tv) <= GH_MAX_SNR_INV and |rho| <=
-    GH_MAX_RHO get the Gauss-Hermite rule.  Reads the constants per call.
+    Yields (rows, step, rule) for each Gauss-Hermite node count of
+    GH_NODES, ascending, then for the sinh rule: the indices of the live
+    elements (m != 0) on it, how many of them one chunk of _CHUNK_BYTES
+    holds, and a function that returns (u, wu, theta, wt), each of shape
+    (len(i), nodes), for the elements i.  Elements with max(t1, tv) <=
+    GH_MAX_SNR_INV and |rho| <= GH_MAX_RHO get a Gauss-Hermite rule, with
+    the nodes of the first GH_NODES row whose bound is at least max(t1,
+    tv), or of the last row if none is.  Reads the constants per call.
     """
     live = m != 0  # NaN stays NaN
-    near_gaussian = (np.maximum(t1, tv) <= GH_MAX_SNR_INV) & (np.abs(rho) <= GH_MAX_RHO)
+    snr_inv = np.maximum(t1, tv)
+    near_gaussian = live & (snr_inv <= GH_MAX_SNR_INV) & (np.abs(rho) <= GH_MAX_RHO)
+    bounds, counts = zip(*GH_NODES)
+    row = np.minimum(np.searchsorted(bounds, snr_inv), len(bounds) - 1)
 
-    def hermite(i):
+    def hermite(nodes, i):
         # Nodes sqrt(2) sd y and weights sqrt(2) sd w exp(y^2) integrate the
         # density itself, so it runs through the same loop as the sinh rule's.
-        y, w = _gauss_hermite(GH_NODES)
+        y, w = _gauss_hermite(nodes)
         scale = np.sqrt(2.0) * np.sqrt(m[i] / 2.0)[:, None]
         u, wu = scale * y, scale * (w * np.exp(y * y))
         return u, wu, u, wu.copy()
@@ -284,9 +294,13 @@ def _product_rules(t1, tv, rho, m):
         return (*_sinh_rule(scale, reach, QUAD_NODES),
                 *_sinh_rule(scale, np.minimum(reach, np.pi), QUAD_NODES))
 
-    for in_regime, nodes, rule in ((True, GH_NODES, hermite), (False, QUAD_NODES, sinh)):
-        yield (np.flatnonzero(live & (near_gaussian == in_regime)),
-               max(1, _CHUNK_BYTES // (8 * nodes * nodes)), rule)
+    def step(nodes):
+        return max(1, _CHUNK_BYTES // (8 * nodes * nodes))
+
+    for k, nodes in enumerate(counts):
+        yield (np.flatnonzero(near_gaussian & (row == k)), step(nodes),
+               functools.partial(hermite, nodes))
+    yield np.flatnonzero(live & ~near_gaussian), step(QUAD_NODES), sinh
 
 
 def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi):
@@ -309,11 +323,12 @@ def log_ratio_moments(snr_inv_1, snr_inv_v, rho, dphi):
     GH_MAX_RHO are the only way to set the rules; each call reads them.
 
     In the high-SNR regime, max(t1, tv) <= GH_MAX_SNR_INV and |rho| <=
-    GH_MAX_RHO, the density is close to a Gaussian of that sd and a
-    GH_NODES x GH_NODES Gauss-Hermite rule scaled by sqrt(2) sd fits it:
-    within 1e-9 relative of a wide-window reference on E[u^2] and
-    E[theta^2].  Its nodes stay within 1.2 rad of the truth, so theta
-    needs no wrap.
+    GH_MAX_RHO, the density is close to a Gaussian of that sd and an n x n
+    Gauss-Hermite rule scaled by sqrt(2) sd fits it: within 1e-9 relative
+    of a wide-window reference on E[u^2] and E[theta^2], with n read from
+    the GH_NODES table by max(t1, tv) (10 nodes at 3e-4 or less, 24 at
+    GH_MAX_SNR_INV).  Its nodes stay within 1.2 rad of the truth, so
+    theta needs no wrap.
 
     Every other element gets a QUAD_NODES x QUAD_NODES Gauss-Legendre
     rule, sinh-mapped around the truth.  The u window reaches QUAD_WIDTH

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from arraycal.cli import main
+from arraycal.harness import DEFAULT_SEED, ScenarioConfig, run_scenario
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,23 @@ class TestTheoryEval:
                                    if l.startswith("gain RMSE")][0].split(":")[1].split()[0])
         assert take(out_csms) > take(out_oma)
 
+    def test_exact_lines_are_the_report_theory_columns(self, capsys):
+        # Far outside its regime the closed form prints a phase RMSE of 4389 deg;
+        # the exact model stays a possible angle, the one a report prints.
+        code, out, _ = run_cli(capsys, "theory", "eval", "--scheme", "CSMS",
+                               "--elements", "63", "--length", "63", "--ev-n0-db", "-20")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        assert float(lines["phase RMSE (element-averaged)"].split()[0]) > 180.0
+        gain = lines["exact gain RMSE (element-averaged)"].split()
+        phase = lines["exact phase RMSE (element-averaged)"].split()
+        assert gain[1] == "dB" and phase[1] == "deg"
+        assert float(phase[0]) <= 180.0
+        cfg = ScenarioConfig(scheme="CSMS", code_length=63, n_elements=63,
+                             snr_grid_db=(-20.0,), master_seed=DEFAULT_SEED, trials=1)
+        row = run_scenario(cfg).rows[0]
+        assert gain[0] == repr(row.gain_rmse_theory_db)
+        assert phase[0] == repr(row.phase_rmse_theory_deg)
 
     @pytest.mark.parametrize("argv", [
         ["--scheme", "OMA", "--elements", "8", "--length", "63"],

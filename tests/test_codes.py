@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from arraycal import codes
 from arraycal.codes import (DEFAULT_TAPS, BinarySequence, default_taps_for_length,
                             generate_msequence, msequence_code, periodic_autocorrelation,
                             to_bipolar, walsh_matrix)
-from arraycal.errors import DimensionError, NonMaximalPolynomial
+from arraycal.errors import ConfigError, DimensionError, NonMaximalPolynomial
+from arraycal.harness import ScenarioConfig
 from oracles import aperiodic_autocorrelation, cyclic_shift
 
 
@@ -143,6 +145,40 @@ class TestWalshMatrix:
         for count in sorted({1, min(50, length), length // 2 + 1, length}):
             expected = hadamard(length)[:, :count] / np.sqrt(length)
             assert walsh_matrix(length, count).tobytes() == expected.tobytes()
+
+
+class TestCodeCache:
+    """Each distinct code is built once per process; every call gets its own copy."""
+
+    def test_a_mutated_result_leaves_the_next_call_alone(self):
+        for build, args in ((msequence_code, (63,)), (msequence_code, (31, [5, 3, 2, 1])),
+                            (walsh_matrix, (16, 5))):
+            first = build(*args)
+            expected = first.tobytes()
+            first[...] = 7.0
+            again = build(*args)
+            assert again.tobytes() == expected
+            assert again.flags.writeable and not np.shares_memory(first, again)
+
+    @pytest.mark.parametrize("degree", sorted(DEFAULT_TAPS))
+    def test_cached_codes_equal_fresh_ones(self, degree):
+        length = 2**degree - 1
+        fresh = to_bipolar(generate_msequence(degree))
+        assert msequence_code(length).tobytes() == fresh.tobytes()
+        assert msequence_code(length).tobytes() == fresh.tobytes()
+        for count in (1, min(50, length), length + 1):
+            bits = int(count - 1).bit_length()
+            fresh = codes._walsh_columns.__wrapped__(length + 1, bits)[:, :count]
+            assert walsh_matrix(length + 1, count).tobytes() == fresh.tobytes()
+            assert walsh_matrix(length + 1, count).tobytes() == fresh.tobytes()
+
+    def test_bad_taps_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(NonMaximalPolynomial):
+                msequence_code(15, (4, 2))
+            with pytest.raises(ConfigError, match="taps"):
+                ScenarioConfig(scheme="CSMS", code_length=63, n_elements=5,
+                               snr_grid_db=(20.0,), taps=(6, 3))
 
 
 class TestAutocorrelation:

@@ -418,6 +418,40 @@ class TestHermiteRegime:
         assert hermite_error < 1e-9
         assert hermite_error <= sinh_error
 
+    @staticmethod
+    def node_table_inputs():
+        """Per GH_NODES row: tv at the row's bound, t1 at it and a tenth of it, over
+        |rho| and the phase difference.  Returns the four inputs and each one's row."""
+        grid = np.meshgrid([1.0, 0.1], [0.0, 0.5, -0.5, 0.75, -0.75],
+                           [0.0, np.pi / 2, -np.pi / 2, np.pi], indexing="ij")
+        share, rho, dphi = (np.ravel(a) for a in grid)
+        bounds = np.array([bound for bound, _ in theory.GH_NODES])
+        row = np.repeat(np.arange(bounds.size), share.size)
+        tv = bounds[row]
+        return (tv * np.tile(share, bounds.size), tv, np.tile(rho, bounds.size),
+                np.tile(dphi, bounds.size)), row
+
+    def test_each_node_table_row_against_wide_window_reference(self, monkeypatch, quadrature):
+        # The table's last bound is the regime's.  Each row's count keeps its elements
+        # within 1e-9 of the reference, and two nodes fewer on any row would not.
+        table = theory.GH_NODES
+        assert table[-1][0] == theory.GH_MAX_SNR_INV
+        assert [b for b, _ in table] == sorted({b for b, _ in table})
+        args, row = self.node_table_inputs()
+        moments = [log_ratio_moments(*args)]
+        for k, (bound, nodes) in enumerate(table):
+            monkeypatch.setattr(theory, "GH_NODES", (*table[:k], (bound, nodes - 2),
+                                                     *table[k + 1:]))
+            moments.append(log_ratio_moments(*args))
+        monkeypatch.setattr(theory, "GH_MAX_SNR_INV", -1.0)  # every element on the sinh rule
+        quadrature(QUAD_NODES=200, QUAD_TAIL=1e-14, QUAD_WIDTH=16.0)
+        reference = log_ratio_moments(*args)
+        errors = [np.max(np.abs(m[1:] / reference[1:] - 1.0), axis=0) for m in moments]
+        assert np.max(errors[0]) < 1e-9
+        for k in range(len(table)):
+            assert np.max(errors[1 + k][row == k]) > 1e-9
+            assert errors[1 + k][row != k].tobytes() == errors[0][row != k].tobytes()
+
     def test_mean_log_ratio_against_lapidoth_moser(self):
         # The identity of TestTheoryPoint: E[u] = (E1(1/tv) - E1(1/t1)) / 2.
         t1, tv, rho, dphi = hermite_regime_inputs(100, seed=17)
@@ -514,6 +548,23 @@ class TestLogRatioMomentsMatchesBlockOracle:
         self.assert_same_bytes(t1, tv, rho, dphi)
         tv[::3] = t1[::3] = 0.0  # noise-free elements among both rules
         self.assert_same_bytes(t1, tv, rho, dphi)
+
+    # One call over every rule: each Gauss-Hermite node count's elements and sinh
+    # elements, shuffled among noise-free ones, 2 step - 1, 2 step or 2 step + 1 of each.
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_every_rule_around_its_chunk_edges(self, monkeypatch, extra):
+        monkeypatch.setattr(theory, "_CHUNK_BYTES", 3 * 8 * 24 ** 2)
+        rng = np.random.default_rng(200 + extra)
+        bounds = [0.0, *(bound for bound, _ in theory.GH_NODES)]
+        counts = [nodes for _, nodes in theory.GH_NODES] + [theory.QUAD_NODES]
+        snr_inv = [rng.uniform(lo, hi, 2 * (theory._CHUNK_BYTES // (8 * n * n)) + extra)
+                   for lo, hi, n in zip(bounds[:-1], bounds[1:], counts)]
+        snr_inv.append(rng.uniform(0.02, 0.3, 2 + extra))  # the sinh rule's step is 1
+        tv = np.concatenate([*snr_inv, np.zeros(20)])
+        t1 = tv * rng.uniform(0.1, 1.0, tv.size)
+        rho, dphi = rng.uniform(-0.75, 0.75, tv.size), rng.uniform(-np.pi, np.pi, tv.size)
+        order = rng.permutation(tv.size)
+        self.assert_same_bytes(t1[order], tv[order], rho[order], dphi[order])
 
     @pytest.mark.parametrize("rho", [1.0, -1.0])
     def test_full_correlation_with_unequal_variances(self, rho):
