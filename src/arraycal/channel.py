@@ -96,25 +96,30 @@ def noise_var_from_snr(ev_n0_db, amplitude):
     return amplitude**2 / 10.0 ** (ev_n0_db / 10.0)
 
 
-def complex_awgn(rng, shape, noise_var):
+def complex_awgn(rng, shape, noise_var, out=None, normals=None):
     """Circularly-symmetric complex Gaussian noise of ``shape``, E|x|^2 = noise_var.
 
     ``shape`` is an int n or a tuple such as (T, n).  Draw order is part of
     the reproducibility contract: one block of standard normals of
     ``shape`` (C order) for the real parts, then one for the imaginary
     parts, each scaled by sqrt(noise_var / 2) straight into the real and
-    imaginary parts of the one complex array returned.
+    imaginary parts of the one complex array returned.  The two blocks are
+    drawn by one call into ``normals``, a C-contiguous float64 (2, *shape)
+    array, and the noise goes to ``out``, a complex array of ``shape`` that
+    may be strided; each is a new array when not given.
     """
     if noise_var < 0:
         raise DimensionError("noise variance must be nonnegative")
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     scale = np.sqrt(noise_var / 2.0)
-    noise = np.empty(shape, dtype=np.complex128)
-    np.multiply(rng.standard_normal(shape), scale, out=noise.real)
-    np.multiply(rng.standard_normal(shape), scale, out=noise.imag)
+    normals = rng.standard_normal(out=np.empty((2, *shape)) if normals is None else normals)
+    noise = np.empty(shape, dtype=np.complex128) if out is None else out
+    np.multiply(normals[0], scale, out=noise.real)
+    np.multiply(normals[1], scale, out=noise.imag)
     return noise
 
 
-def csms_clean_stream(code, weights):
+def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
     """Noise-free composite streams: periodic extension of the shifted-code sum.
 
     Element v is the code shifted by v chips.  ``weights`` are the complex
@@ -122,15 +127,26 @@ def csms_clean_stream(code, weights):
     leading batch axes; each row gives one stream of length L + V - 1, so
     that every element's correlation window fits.  Sample k equals
     sum_v w_v * code[(k - v) mod L]: the circular convolution of the code
-    with the gains zero-padded to L.
+    with the gains zero-padded to L.  Optional buffers, each a new array
+    when not given: ``out`` for the streams, ``spectrum`` a complex
+    (..., L) scratch array, and ``code_fft`` the code's spectrum fft(code).
     """
     code = np.asarray(code)
     weights = np.asarray(weights)
     length, n_elements = code.size, weights.shape[-1] if weights.ndim else 0
     if not 1 <= n_elements <= length:
         raise DimensionError(f"need 1 to {length} elements, got weights of shape {weights.shape}")
+    lead = weights.shape[:-1]
     # Padded by hand: fft(weights, L) gives the same bytes, 1.5-2x slower on a block.
-    placed = np.zeros(weights.shape[:-1] + (length,), dtype=np.complex128)
+    placed = np.empty(lead + (length,), dtype=np.complex128) if spectrum is None else spectrum
     placed[..., :n_elements] = weights
-    stream = np.fft.ifft(np.fft.fft(code) * np.fft.fft(placed))
-    return np.concatenate((stream, stream[..., :n_elements - 1]), axis=-1)
+    placed[..., n_elements:] = 0.0
+    stream = np.fft.fft(placed, out=placed)
+    # code_fft first: the complex product's bytes depend on its operand order.
+    np.multiply(np.fft.fft(code) if code_fft is None else code_fft, stream, out=stream)
+    np.fft.ifft(stream, out=stream)
+    if out is None:
+        out = np.empty(lead + (length + n_elements - 1,), dtype=np.complex128)
+    out[..., :length] = stream
+    out[..., length:] = stream[..., :n_elements - 1]
+    return out

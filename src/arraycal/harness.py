@@ -3,9 +3,10 @@
 Each grid point is built once into an immutable ``PointModel``; it feeds
 the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
-batched pass through that chain.  A grid point is the only task of a
-scenario call: the task that owns it builds its model, predicts, runs its
-blocks and reduces them to its report row.  One runner serves both
+batched pass through that chain, in arrays of one workspace that the
+process keeps and grows to its largest block.  A grid point is the only
+task of a scenario call: the task that owns it builds its model, predicts,
+runs its blocks and reduces them to its report row.  One runner serves both
 ``run_scenario`` and ``reproduce_figure``: it runs the point task for every
 (config, point) pair of the call, in report order in process when the call
 has one task or one worker, otherwise on the process's worker pool, which
@@ -19,8 +20,9 @@ the call holds the calling process at one BLAS thread, on either path, and
 gives its previous count back afterwards.
 
 Determinism contract: a report is a pure function of the scenario
-configuration.  The per-point channel phases come from a generator seeded
-by the entropy triple ``[master_seed, point_index, 0]``.  Block b (trials
+configuration.  Every generator is numpy's SFC64 bit generator seeded by
+an entropy list.  The per-point channel phases come from the one seeded
+by ``[master_seed, point_index, 0]``.  Block b (trials
 ``b * BLOCK_TRIALS`` up to the next block or the last trial, T of them)
 draws from one generator seeded by ``[master_seed, point_index, 1 + b]``:
 in per-trial phase mode first the block's (T, V) phases, uniform on
@@ -40,6 +42,7 @@ import ctypes
 import functools
 import io
 import math
+import mmap
 import numbers
 import os
 import threading
@@ -57,7 +60,8 @@ from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
 from .errors import ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
-from .receiver import ZfEqualizer, csms_peaks, extract_mismatch, oma_estimate, zf_equalize
+from .receiver import (ZfEqualizer, _smooth_length, csms_peaks, extract_mismatch, oma_estimate,
+                       zf_equalize)
 # Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
 from .receiver import wrap_degrees  # noqa: F401
 
@@ -212,17 +216,21 @@ def scenario_points(cfg):
 
 
 def rng_stream(master_seed, *key):
-    """Deterministic per-purpose generator: entropy is the seed plus the key path."""
-    return np.random.default_rng([int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-                                  *(int(k) for k in key)])
+    """Deterministic per-purpose generator: an SFC64 bit generator, which draws
+    normals faster than numpy's default PCG64, whose entropy is the seed plus
+    the key path."""
+    return np.random.Generator(np.random.SFC64([int(master_seed) & 0xFFFFFFFFFFFFFFFF,
+                                                *(int(k) for k in key)]))
 
 
 @dataclass(frozen=True)
 class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
-    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``signal``
-    is ``_realize`` of the gains' phases, the truth de-rotation and clean
+    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``spectra``
+    is None (OMA) or the code's spectrum fft(code) and the matched filter's
+    conj(fft(code, n_fft)), n_fft the correlation length.  ``signal`` is
+    ``_realize`` of the gains' phases, the truth de-rotation and clean
     signal, or None with per-trial phases: each trial block then draws its own.
     """
 
@@ -233,6 +241,7 @@ class PointModel:
     gains: ElementGains
     code: np.ndarray
     eq: ZfEqualizer | None
+    spectra: tuple | None
     signal: tuple | None
 
     @classmethod
@@ -240,12 +249,13 @@ class PointModel:
         v, l = point.n_elements, point.code_length
         gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
         if point.scheme == "OMA":
-            code, eq = walsh_matrix(l, v), None
+            code, eq, spectra = walsh_matrix(l, v), None, None
         else:
             code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
+            spectra = np.fft.fft(code), np.conj(np.fft.fft(code, _smooth_length(l + v - 1)))
         signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains.phases)
         return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
-                   gains, code, eq, signal)
+                   gains, code, eq, spectra, signal)
 
     def noise_stats(self):
         """Error statistics of the receiver's gain estimates at this point."""
@@ -255,44 +265,105 @@ class PointModel:
         return accuracy.csms_gain_noise_stats(self.eq, cov)
 
 
-def _realize(point, code, phases):
+class _Workspace:
+    """Named arrays of one trial block, kept for the process.
+
+    Each name's flat buffer grows to the largest block seen and is never
+    shrunk, so a warm block allocates no array above the allocator's mmap
+    threshold and takes no page faults.  Each buffer is its own private
+    anonymous memory map: kept on the malloc heap, it would stop the heap
+    from giving back the point buffers freed below it (full fig7 at one
+    worker peaked 15 MB higher), and a shared map would be written by every
+    forked worker at once.  A workspace made with ``keep=False`` hands out
+    new arrays instead."""
+
+    def __init__(self, keep=True):
+        self._buffers = {} if keep else None
+
+    def array(self, name, shape, dtype=np.complex128):
+        """A C-ordered array of ``shape`` on the prefix of buffer ``name``."""
+        if self._buffers is None:
+            return np.empty(shape, dtype)
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            memory = mmap.mmap(-1, size * np.dtype(dtype).itemsize, **_PRIVATE_MAP)
+            buffer = self._buffers[name] = np.frombuffer(memory, dtype)
+        return buffer[:size].reshape(shape)
+
+
+# Windows has no flags, and no fork to share a map with.
+_PRIVATE_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+_FRESH = _Workspace(keep=False)
+_workspace = _Workspace()  # used only by _trial_chunk, under _lock
+
+
+def _realize(point, code, phases, ws=_FRESH, code_fft=None):
     """De-rotation conj(w) and noise-free receive signal of the unit-amplitude
     gains w = exp(i phases), whose truth gain is 0 dB: an estimate times conj(w)
     leaves its error alone.  ``phases`` is (V,) or a block of (T, V); the
-    outputs carry the same leading axes."""
-    w = np.exp(1j * phases)
+    outputs carry the same leading axes and are arrays of ``ws``."""
+    lead, length = phases.shape[:-1], code.shape[0]
+    w = ws.array("weights", phases.shape)
+    w.real, w.imag = 0.0, phases  # 1j * phases, whose real parts numpy forms as zeros
+    np.exp(w, out=w)
     if point.scheme == "OMA":
-        clean = w @ code.T
+        clean = np.matmul(w, code.T, out=ws.array("clean", (*lead, length)))
     else:
-        clean = csms_clean_stream(code, w)
-    return w.conj(), clean
+        # The window is free until the block's noise is drawn into it.
+        clean = csms_clean_stream(code, w, ws.array("clean", (*lead, length + w.shape[-1] - 1)),
+                                  code_fft=code_fft, spectrum=ws.array("window", (*lead, length)))
+    return np.conjugate(w, out=w), clean
 
 
-def _trial_chunk(model, block):
+def _trial_chunk(model, block, out=None):
     """(T, 2, V-1) gain and phase errors of one trial block, received in one pass.
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
     ``complex_awgn`` call.  The estimates are de-rotated by the truth before
     the readout, so its mismatch is the error itself, phase in (-180, 180].
+    The errors go to the first T rows of ``out`` when given, else to a new
+    array.  Every other array of the block lives in the process's
+    ``_workspace``, which the block holds ``_lock`` to use.
     """
-    point = model.point
+    point, v = model.point, model.point.n_elements
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
-    rng = rng_stream(model.master_seed, point.index, 1 + block)
-    derotate, clean = model.signal or _realize(
-        point, model.code, rng.uniform(0.0, 2.0 * np.pi, (size, point.n_elements)))
-    windows = clean + complex_awgn(rng, (size, clean.shape[-1]), model.noise_var)
-    if point.scheme == "OMA":
-        estimates = oma_estimate(model.code, windows)
-    else:
-        peaks = csms_peaks(model.code, point.n_elements, windows)
-        estimates = zf_equalize(peaks, model.eq)
-    report = extract_mismatch(estimates * derotate)
-    return np.stack((report.gain_db, report.phase_deg), axis=1)
+    out = np.empty((size, 2, v - 1)) if out is None else out[:size]
+    with _lock:
+        ws = _workspace
+        rng = rng_stream(model.master_seed, point.index, 1 + block)
+        if model.signal is None:
+            # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
+            phases = rng.random(out=ws.array("phases", (size, v), np.float64))
+            derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
+                                       ws, model.spectra and model.spectra[0])
+        else:
+            derotate, clean = model.signal
+        n = clean.shape[-1]
+        # CSMS: zero-padded to the correlation length, and transformed in place.
+        window = ws.array("window", (size, n if model.spectra is None else model.spectra[1].size))
+        received = complex_awgn(rng, (size, n), model.noise_var, window[:, :n],
+                                ws.array("normals", (2, size, n), np.float64))
+        np.add(received, clean, out=received)
+        if point.scheme == "OMA":
+            estimates = oma_estimate(model.code, window, ws.array("estimates", (size, v)))
+        else:
+            window[:, n:] = 0.0
+            # F-ordered (T, V) peaks, as the allocating gather gives them: their
+            # layout fixes the order in which zf_equalize sums them.
+            peaks = csms_peaks(model.code, v, window, ws.array("peaks", (v, size)).T,
+                               filter_fft=model.spectra[1], spectrum=window)
+            estimates = zf_equalize(peaks, model.eq, ws.array("estimates", (size, v)))
+        derotated = np.multiply(estimates, derotate, out=ws.array("derotated", (size, v)))
+        extract_mismatch(derotated, out, ws.array("product", (size, v - 1)))
+    return out
 
 
 def run_trial(cfg, point, trial_index):
-    """(gain, phase) errors of one trial, taken from its block as the report takes them."""
+    """(gain, phase) errors of one trial, taken from its block as the report takes them.
+
+    The block runs under ``_lock``, between other threads' calls."""
     if not 0 <= trial_index < cfg.trials:
         raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
     block, row = divmod(trial_index, BLOCK_TRIALS)
@@ -383,8 +454,8 @@ def _point_row(cfg, point):
     sq_errors = np.zeros((-(-cfg.trials // batches), batches, 2, point.n_elements - 1))
     rows = sq_errors.reshape(-1, 2, point.n_elements - 1)
     for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
-        chunk = _trial_chunk(model, b)
-        np.square(chunk, out=rows[start:start + len(chunk)])
+        chunk = _trial_chunk(model, b, rows[start:])
+        np.square(chunk, out=chunk)
     (gain, phase), (gain_se, phase_se) = _reduce(sq_errors, cfg.trials)
     return RmseRow(
         scheme=point.scheme,

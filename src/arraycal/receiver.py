@@ -7,27 +7,33 @@ import numpy as np
 from .errors import DimensionError, ReferenceZero, SingularError
 
 
-def oma_estimate(code_matrix, window):
+def oma_estimate(code_matrix, window, out=None):
     """Per-element gain estimates from one (L,) window or a (..., L) batch.
 
     With orthonormal columns the correlation peaks C.T @ window are
-    already unbiased gain estimates; no equalizer is needed.
+    already unbiased gain estimates; no equalizer is needed.  ``out``, if
+    given, receives them.
     """
     code_matrix = np.asarray(code_matrix)
     window = np.asarray(window)
     if window.shape[-1:] != code_matrix.shape[:1]:
         raise DimensionError(f"window shape {window.shape} != (..., {code_matrix.shape[0]})")
-    return window @ code_matrix
+    return np.matmul(window, code_matrix, out=out)
 
 
-def csms_peaks(code, n_elements, stream):
+def csms_peaks(code, n_elements, stream, out=None, *, filter_fft=None, spectrum=None):
     """Single-filter correlation peaks recorded at the per-element epochs.
 
     peak[v] = sum_k code[k] * stream[k + v] for v < V = ``n_elements``, 1 <= V
     <= L: one matched filter output, read v samples after the first
     element's peak, as an FFT cross-correlation over the last axis of a
-    (..., n) stream batch.  Its length, the smallest >= n >= L + V - 1 with
-    no prime factor above 5, keeps lags unwrapped.
+    (..., n) stream batch.  Its length n_fft, the smallest >= n >= L + V - 1
+    with no prime factor above 5, keeps lags unwrapped; a stream already
+    zero-padded to it gives the same bytes.  Optional buffers, each a new
+    array when not given: ``out`` for the (..., V) peaks, whose layout is
+    kept, ``spectrum`` a complex (..., n_fft) scratch array, which may be
+    the stream itself, and ``filter_fft`` the filter's spectrum
+    conj(fft(code, n_fft)).
     """
     code = np.asarray(code)
     stream = np.asarray(stream)
@@ -39,11 +45,18 @@ def csms_peaks(code, n_elements, stream):
             f"stream of shape {stream.shape} too short for code length {length} "
             f"with {n_elements} elements")
     n_fft = _smooth_length(stream.shape[-1])
-    spectrum = np.fft.fft(stream, n_fft) * np.conj(np.fft.fft(code, n_fft))
+    if filter_fft is None:
+        filter_fft = np.conj(np.fft.fft(code, n_fft))
+    spectrum = np.fft.fft(stream, n_fft, out=spectrum)
+    np.multiply(spectrum, filter_fft, out=spectrum)
+    np.fft.ifft(spectrum, out=spectrum)
+    if out is not None:
+        out[...] = spectrum[..., :n_elements]
+        return out
     # A gather, not a slice: its F-ordered (T, V) result fixes the order in
     # which zf_equalize sums the peaks, and so the report bytes.  A (1, V)
     # block (trials = 1 mod 64) is also C-ordered, so numpy sums it pairwise.
-    return np.fft.ifft(spectrum)[..., np.arange(n_elements)]
+    return spectrum[..., np.arange(n_elements)]
 
 
 def _smooth_length(n):
@@ -91,17 +104,19 @@ class ZfEqualizer:
         )
 
 
-def zf_equalize(peaks, eq):
+def zf_equalize(peaks, eq, out=None):
     """Cancel inter-element interference: equivalent to inverse-matrix times peaks.
 
     Uses the two-coefficient structure directly: out_v = cross * sum(peaks)
     + (diag - cross) * peak_v, over the last axis of a (..., V) batch.
+    ``out``, if given, receives the estimates.
     """
     peaks = np.asarray(peaks)
     if peaks.shape[-1:] != (eq.n_elements,):
         raise DimensionError(f"expected {eq.n_elements} peaks, got shape {peaks.shape}")
     total = peaks.sum(axis=-1, keepdims=True)
-    return eq.cross_coeff * total + (eq.diag_coeff - eq.cross_coeff) * peaks
+    scaled = np.multiply(eq.diag_coeff - eq.cross_coeff, peaks, out=out)
+    return np.add(eq.cross_coeff * total, scaled, out=scaled)
 
 
 def wrap_degrees(angle_deg):
@@ -121,14 +136,17 @@ class MismatchReport:
         return self.gain_db.shape[-1]
 
 
-def extract_mismatch(estimates):
+def extract_mismatch(estimates, out=None, work=None):
     """Relative mismatch of every element against the first (reference) element.
 
     Invariant under any global complex scaling of the estimate vector.
     Element 0 of the last axis of a (V,) or (..., V) input is the reference.
-    One pass: the gain divides one magnitude array by its first column, and
-    the phase is the angle of e_v * conj(e_1), in (-180, 180] degrees with
-    -180 mapped to +180.
+    One pass: the gain divides the magnitudes by the first one, and the
+    phase is the angle of e_v * conj(e_1), in (-180, 180] degrees with -180
+    mapped to +180.  The report's gains and phases are the views
+    ``out[..., 0, :]`` and ``out[..., 1, :]`` of one float (..., 2, V-1)
+    array; ``work`` is a complex (..., V-1) scratch array.  Each is a new
+    array when not given.
     """
     estimates = np.asarray(estimates)
     if estimates.ndim == 0 or estimates.shape[-1] < 2:
@@ -136,8 +154,13 @@ def extract_mismatch(estimates):
     ref = estimates[..., :1]
     if np.any(ref == 0):
         raise ReferenceZero("reference element estimate is zero")
-    magnitude = np.abs(estimates)
-    phase_deg = np.angle(estimates[..., 1:] * ref.conj(), deg=True)
+    if out is None:
+        out = np.empty(estimates.shape[:-1] + (2, estimates.shape[-1] - 1))
+    gain_db, phase_deg = out[..., 0, :], out[..., 1, :]
+    np.divide(np.abs(estimates[..., 1:], out=gain_db), np.abs(ref), out=gain_db)
+    np.multiply(20.0, np.log10(gain_db, out=gain_db), out=gain_db)
+    product = np.multiply(estimates[..., 1:], ref.conj(), out=work)
+    # np.angle(product, deg=True), written into phase_deg.
+    np.multiply(np.arctan2(product.imag, product.real, out=phase_deg), 180 / np.pi, out=phase_deg)
     phase_deg[phase_deg == -180.0] = 180.0
-    return MismatchReport(gain_db=20.0 * np.log10(magnitude[..., 1:] / magnitude[..., :1]),
-                          phase_deg=phase_deg)
+    return MismatchReport(gain_db=gain_db, phase_deg=phase_deg)

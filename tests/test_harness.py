@@ -27,12 +27,21 @@ from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, Sc
                               run_trial, scenario_points)
 from oracles import build_correlation_matrix, two_angle_mismatch
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 SCENARIO_SCHEMA = Path(__file__).resolve().parent.parent / "docs" / "scenario_schema.json"
 
 
 def _wrap_deg(angle):
     wrapped = (np.asarray(angle) + 180.0) % 360.0 - 180.0
     return np.where(wrapped == -180.0, 180.0, wrapped)
+
+
+def sfc64(entropy):
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def small_csms_config(**overrides):
@@ -325,15 +334,15 @@ class TestRunTrial:
         # Independent oracle: re-derive one trial's errors from the raw
         # generator contract with explicit formulas, no library calls.
         # Trial 66 of 70 is row 2 of block 1, the 6-trial partial block,
-        # keyed [seed, point, 1 + block]; its real (6, n) normals come
-        # before its imaginary (6, n) normals.
+        # drawn by an SFC64 generator keyed [seed, point, 1 + block]; its
+        # real (6, n) normals come before its imaginary (6, n) normals.
         cfg = ScenarioConfig(scheme="OMA", code_length=2, n_elements=2,
                              snr_grid_db=(30.0,), trials=70, master_seed=99)
         point = scenario_points(cfg)[0]
         gain_err, phase_err = run_trial(cfg, point, 66)
 
-        phases = np.random.default_rng([99, 0, 0]).uniform(0.0, 2.0 * np.pi, 2)
-        rng = np.random.default_rng([99, 0, 2])
+        phases = sfc64([99, 0, 0]).uniform(0.0, 2.0 * np.pi, 2)
+        rng = sfc64([99, 0, 2])
         c = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         w = np.exp(1j * phases)
         scale = np.sqrt(1e-3 / 2.0)
@@ -361,7 +370,7 @@ class TestRunTrial:
 
         code = msequence_code(l)
         n = l + v - 1
-        rng = np.random.default_rng([99, 0, 2])
+        rng = sfc64([99, 0, 2])
         phases = rng.uniform(0.0, 2.0 * np.pi, (6, v))[2]
         scale = np.sqrt(1e-2 / 2.0)
         real, imag = rng.standard_normal((6, n)), rng.standard_normal((6, n))
@@ -522,6 +531,99 @@ class TestSingleChain:
         monkeypatch.setattr(PointModel, "build", classmethod(counting))
         run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8))
         assert built == [0, 1]
+
+
+ORDER_SCRIPT = """
+import sys
+from arraycal import ScenarioConfig, run_scenario
+configs = {
+    "large": ScenarioConfig(scheme="CSMS", code_length=511, v_grid=(408,), ev_n0_db=30.0,
+                            trials=70, master_seed=5),
+    "small": ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(6, 20), ev_n0_db=20.0,
+                            trials=70, master_seed=5, phase_policy="per-trial"),
+}
+for name in sys.argv[1:]:
+    print(run_scenario(configs[name]).to_csv_text(), end="")
+"""
+
+
+class TestWorkspace:
+    """Every block runs in one process-wide workspace, and gives what its model
+    and index alone give."""
+
+    def test_report_does_not_depend_on_earlier_runs(self):
+        # The workspace keeps a larger block's data past a smaller block's
+        # arrays: either order reads as each scenario does in a fresh interpreter.
+        fresh = {}
+        for name in ("large", "small"):
+            child = _run_child(ORDER_SCRIPT, name)
+            assert child.returncode == 0, child.stderr
+            fresh[name] = child.stdout
+        for order in (("large", "small"), ("small", "large")):
+            child = _run_child(ORDER_SCRIPT, *order)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout == "".join(fresh[name] for name in order)
+
+    def test_threads_match_serial_calls(self):
+        # run_trial and run_scenario use the workspace under one lock, so
+        # calls from several threads at once give what serial calls give.
+        small = small_csms_config(trials=70, phase_policy="per-trial")
+        large = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(200,), ev_n0_db=30.0,
+                               trials=130, master_seed=5)
+        point, trials = scenario_points(small)[0], (3, 66)
+        expected_trials = [run_trial(small, point, t) for t in trials]
+        expected_report = run_scenario(large).to_csv_text()
+        got_trials, got_reports = [], []
+
+        def trial_calls():
+            for _ in range(20):
+                got_trials.append([run_trial(small, point, t) for t in trials])
+
+        def scenario_calls():
+            got_reports.extend(run_scenario(large).to_csv_text() for _ in range(3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=target)
+                       for target in (trial_calls, trial_calls, scenario_calls, scenario_calls)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got_trials) == 40 and len(got_reports) == 6
+        for got in got_trials:
+            for (g, p), (eg, ep) in zip(got, expected_trials):
+                np.testing.assert_array_equal(g, eg)
+                np.testing.assert_array_equal(p, ep)
+        assert set(got_reports) == {expected_report}
+
+    @pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"),
+                        reason="needs Linux's per-thread resource usage")
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(50,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337),
+        ScenarioConfig(scheme="OMA", code_length=256, v_grid=(50,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337),
+        ScenarioConfig(scheme="CSMS", code_length=127, v_grid=(120,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337, phase_policy="per-trial"),
+        ScenarioConfig(scheme="OMA", code_length=128, v_grid=(120,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337, phase_policy="per-trial"),
+    ], ids=["CSMS-255-50", "OMA-256-50", "CSMS-127-120-per-trial", "OMA-128-120-per-trial"])
+    def test_warm_blocks_take_no_page_faults(self, cfg):
+        # A block's arrays above the allocator's mmap threshold live in the
+        # workspace.  Fresh ones would be mapped and faulted in again on every
+        # block: about 260 minor faults per block at CSMS 255/50.  The (T, 2,
+        # V-1) result, below the threshold, is the block's only new array.
+        model = PointModel.build(cfg, scenario_points(cfg)[0])
+        harness._trial_chunk(model, 0)
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        for block in range(1, 10):
+            harness._trial_chunk(model, block)
+        assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before <= 9
 
 
 class _InProcessPool:

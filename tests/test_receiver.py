@@ -78,7 +78,8 @@ class TestCsmsPeaks:
 
         fft, lengths = np.fft.fft, []
         monkeypatch.setattr(np.fft, "fft",
-                            lambda a, n=None, *args: lengths.append(n) or fft(a, n, *args))
+                            lambda a, n=None, *args, **kwargs:
+                            lengths.append(n) or fft(a, n, *args, **kwargs))
         rng = np.random.default_rng(32)
         for length in (7, 15, 31, 63, 127):
             code = msequence_code(length)
