@@ -31,10 +31,11 @@ noise, all T x n real parts before all T x n imaginary parts.  Block size
 is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
-count.  Trial t belongs to standard-error batch t mod B, B =
-``min(STDERR_BATCHES, trials)``.  A point's squared errors, and each batch's,
-are summed trial by trial in trial order, for both schemes and phase
-policies and at every element count.
+count.  A point's squared errors fill one (T, 2, V-1) buffer, trial t at
+row t, and are summed trial by trial in trial order, for both schemes and
+phase policies and at every element count.  Each column's standard error is
+the linearized one, sd(y) / sqrt(T) with ddof 1 of the per-trial
+y_t = sum_v sq_{t,v} / (2 (V-1) RMSE_v).
 """
 
 import csv
@@ -69,7 +70,6 @@ SCHEMES = ("OMA", "CSMS")
 PHASE_POLICIES = ("per-point", "per-trial")
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 1729
-STDERR_BATCHES = 25
 BLOCK_TRIALS = 64  # the unit of randomness, synthesis and reception
 # The finite SNRs whose t = noise_var / amplitude^2, the theory's inverse element
 # SNR, stays in float64 range: t^2 must be normal, and at low SNR the squared
@@ -370,25 +370,22 @@ def run_trial(cfg, point, trial_index):
     return tuple(_trial_chunk(PointModel.build(cfg, point), block)[row])
 
 
-def _rmse(sq_sums, trials):
-    """Element-averaged (gain, phase) RMSEs of (..., 2, V-1) squared-error sums over ``trials``."""
-    return np.sqrt(sq_sums / trials).mean(axis=-1)
-
-
-def _reduce(sq_errors, trials):
-    """(gain, phase) RMSEs and batch-means standard errors of ``_point_row``'s (rows, B, 2,
-    V-1) buffer: trial t at flat row t, in batch t mod B, then zeros.  Both sums run over an
-    axis outside the C-ordered (2, V-1) rows, which numpy adds row by row, so they are in
-    trial order at every V."""
-    batches = sq_errors.shape[1]
-    rmse = _rmse(sq_errors.reshape(-1, *sq_errors.shape[2:]).sum(axis=0), trials)
-    if batches < 2:
-        return rmse, np.zeros(2)
-    counts = trials // batches + (np.arange(batches) < trials % batches)
-    # std over a contiguous (2, batches) array sums each column's batches the
-    # way it sums one column's batch RMSEs alone.
-    vals = np.ascontiguousarray(_rmse(sq_errors.sum(axis=0), counts[:, None, None]).T)
-    return rmse, vals.std(axis=1, ddof=1) / np.sqrt(batches)
+def _reduce(sq_errors):
+    """(gain, phase) RMSEs and linearized standard errors of ``_point_row``'s (T, 2, V-1)
+    squared errors, which it weights in place.  Its sums over trials run outside the C-ordered
+    (2, V-1) rows, which numpy adds row by row, so they are in trial order at every V.  The
+    standard error is the delta method's sd(y) / sqrt(T), ddof 1, of y_t = sum_v sq_{t,v} w_v,
+    w_v = 1 / (2 (V-1) RMSE_v), or 0 where RMSE_v is 0; one trial gives 0."""
+    trials, _, others = sq_errors.shape
+    rmse = np.sqrt(sq_errors.sum(axis=0) / trials)
+    if trials < 2:
+        return rmse.mean(axis=-1), np.zeros(2)
+    weights = np.divide(0.5 / others, rmse, out=np.zeros_like(rmse), where=rmse > 0)
+    np.multiply(sq_errors, weights, out=sq_errors)
+    # y is (2, T): std sums each column's trials as one contiguous row, as for one column alone.
+    y = np.empty((2, trials))
+    np.sum(sq_errors, axis=-1, out=y.T)
+    return rmse.mean(axis=-1), y.std(axis=1, ddof=1) / np.sqrt(trials)
 
 
 @dataclass(frozen=True)
@@ -447,16 +444,15 @@ class RmseReport:
 
 
 def _point_row(cfg, point):
-    """Report row of one grid point: its model, prediction and trial blocks in trial order."""
+    """Report row of one grid point: its model, prediction and trial blocks in trial order,
+    squared into one (T, 2, V-1) buffer, trial t at row t, for ``_reduce``."""
     model = PointModel.build(cfg, point)
     theory = accuracy.theory_point(model.gains, model.noise_stats())
-    batches = min(STDERR_BATCHES, cfg.trials)
-    sq_errors = np.zeros((-(-cfg.trials // batches), batches, 2, point.n_elements - 1))
-    rows = sq_errors.reshape(-1, 2, point.n_elements - 1)
+    sq_errors = np.empty((cfg.trials, 2, point.n_elements - 1))
     for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
-        chunk = _trial_chunk(model, b, rows[start:])
+        chunk = _trial_chunk(model, b, sq_errors[start:])
         np.square(chunk, out=chunk)
-    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors, cfg.trials)
+    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors)
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,

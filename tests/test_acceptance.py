@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion, each printing a pass/fail line, and a
+simulation-against-theory check over both figure grids.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete.  The figure grids are simulated once per session at their full
@@ -276,6 +277,25 @@ def test_criterion_7_fig7_trends(fig7_report):
         failures.append(f"missing V=L rows for {sorted({127, 255, 511} - saw_extreme)}")
     finish(7, "element sweep at 30 dB: no loss below 0.8L, degradation only near V=L",
            failures)
+
+
+def test_simulation_matches_theory_within_its_standard_errors(fig5_report, fig7_report):
+    # The receiver is linear and the noise Gaussian, so the exact theory
+    # should meet the simulation to Monte-Carlo error on every row, and with
+    # the linearized standard error z = (sim - theory) / stderr is close to
+    # normal.  Over the 124 values: max |z| <= 3.94, the two-sided normal
+    # tail of 1% / 124 (Bonferroni); and at most 12 beyond 2, where
+    # Binomial(124, 0.0455) exceeds 12 with probability 0.44%.
+    z = []
+    for row in (*fig5_report.rows, *fig7_report.rows):
+        z.append((row.gain_rmse_sim_db - row.gain_rmse_theory_db) / row.gain_rmse_sim_stderr)
+        z.append((row.phase_rmse_sim_deg - row.phase_rmse_theory_deg)
+                 / row.phase_rmse_sim_stderr)
+    z = np.abs(z)
+    assert z.size == 124
+    print(f"[sim-theory] max |z| {z.max():.2f}, {np.sum(z > 2)} of {z.size} beyond 2")
+    assert z.max() <= 3.94
+    assert np.sum(z > 2) <= 12
 
 
 def test_criterion_8_spot_phase_value():

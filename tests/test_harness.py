@@ -420,31 +420,42 @@ class TestSingleChain:
         small_csms_config(n_elements=50, trials=harness.BLOCK_TRIALS + 1),
         small_csms_config(trials=10),
         small_csms_config(trials=1),
+        ScenarioConfig(scheme="OMA", code_length=16, n_elements=5, snr_grid_db=(math.inf,),
+                       trials=70, master_seed=2),
+        small_csms_config(snr_grid_db=(math.inf,), trials=70),
     ], ids=["OMA", "CSMS", "CSMS-per-trial", "CSMS-3-blocks", "CSMS-per-trial-3-blocks",
-            "OMA-V2", "CSMS-V2", "CSMS-one-trial-last-block", "CSMS-one-trial-per-batch",
-            "CSMS-one-trial"])
+            "OMA-V2", "CSMS-V2", "CSMS-one-trial-last-block", "CSMS-10-trials",
+            "CSMS-one-trial", "OMA-noise-free", "CSMS-noise-free"])
     def test_run_trial_reproduces_report_row(self, cfg):
         # Every column sums each element's squared errors trial by trial, in
         # trial order, also across blocks and with one non-reference element,
-        # and a one-trial last block, whose peaks numpy sums pairwise.  Batch k
-        # of the standard error holds trials k, k + B, k + 2B, ...
+        # and a one-trial last block, whose peaks numpy sums pairwise.  The
+        # standard error is the linearized one: each trial's squared errors
+        # weighted by 1 / (2 (V-1) RMSE_v), an element of RMSE 0 by 0.
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])
         phase_sq = np.array([p**2 for _, p in errors])
-        n_batches = min(harness.STDERR_BATCHES, cfg.trials)
 
-        def rmse(sq):
+        def element_rmse(sq):
             acc = np.zeros(sq.shape[1])
             for row in sq:
                 acc += row
-            return float(np.sqrt(acc / len(sq)).mean())
+            return np.sqrt(acc / len(sq))
+
+        def rmse(sq):
+            return float(element_rmse(sq).mean())
 
         def stderr(sq):
-            if n_batches < 2:
+            if len(sq) < 2:
                 return 0.0
-            batches = np.array([rmse(sq[k::n_batches]) for k in range(n_batches)])
-            return float(batches.std(ddof=1) / np.sqrt(n_batches))
+            per_element = element_rmse(sq)
+            weights = np.zeros(sq.shape[1])
+            for v, r in enumerate(per_element):
+                if r > 0:
+                    weights[v] = 0.5 / sq.shape[1] / r
+            y = np.array([(row * weights).sum() for row in sq])
+            return float(y.std(ddof=1) / np.sqrt(len(sq)))
 
         row = run_scenario(cfg).rows[0]
         assert row.gain_rmse_sim_db == rmse(gain_sq)
@@ -489,9 +500,8 @@ class TestSingleChain:
                                        rtol=0, atol=1e-12)
 
     def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
-        # The point's (trials, 2, V-1) buffer, padded by at most B - 1 rows
-        # after its last trial, is the only array of trials x V size: blocks
-        # are squared into it and reduced in place.
+        # The point's (trials, 2, V-1) buffer is the only array of trials x V
+        # size: blocks are squared into it, and it is weighted and reduced in place.
         cfg = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(255,), ev_n0_db=30.0,
                              trials=2000, master_seed=5)
         point = scenario_points(cfg)[0]
@@ -1130,6 +1140,30 @@ class TestRunScenario:
         row = run_scenario(small_csms_config()).rows[0]
         assert row.gain_rmse_sim_stderr > 0
         assert row.phase_rmse_sim_stderr > 0
+
+    def test_stderr_is_calibrated_and_has_a_small_spread(self):
+        # OMA's rho is 0, so the true RMSE does not depend on each seed's
+        # phases: the seeds' RMSEs scatter by the true standard error alone.
+        # A standard deviation of K near-normal draws has relative spread
+        # s = 1 / sqrt(2 (K - 1)), 0.071 here, so both bounds sit 4 s out.
+        # y_t is to first order a positive quadratic form in the Gaussian
+        # noise, whose kurtosis is at most a chi-square(1)'s 15, so the
+        # linearized SE's own coefficient of variation is at most
+        # sqrt((15 - 1) / (4 T)) = 0.059.  Batch means of B = 25 spread by
+        # 1 / sqrt(2 (B - 1)) = 0.144, beyond the bound.
+        seeds, trials = 100, 1000
+        rows = [run_scenario(ScenarioConfig(scheme="OMA", code_length=16, n_elements=8,
+                                            snr_grid_db=(20.0,), trials=trials,
+                                            master_seed=seed)).rows[0]
+                for seed in range(seeds)]
+        s = 1.0 / math.sqrt(2 * (seeds - 1))
+        for rmse, se in (("gain_rmse_sim_db", "gain_rmse_sim_stderr"),
+                         ("phase_rmse_sim_deg", "phase_rmse_sim_stderr")):
+            values = np.array([getattr(row, rmse) for row in rows])
+            stderrs = np.array([getattr(row, se) for row in rows])
+            assert abs(stderrs.mean() / values.std(ddof=1) - 1) < 4 * s
+            spread = stderrs.std(ddof=1) / stderrs.mean()
+            assert spread < math.sqrt(14 / (4 * trials)) * (1 + 4 * s)
 
     def test_report_row_fields(self):
         cfg = small_csms_config()
