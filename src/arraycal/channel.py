@@ -102,17 +102,21 @@ def complex_awgn(rng, shape, noise_var, out=None, normals=None):
     ``shape`` is an int n or a tuple such as (T, n).  Draw order is part of
     the reproducibility contract: one block of standard normals of
     ``shape`` (C order) for the real parts, then one for the imaginary
-    parts, each scaled by sqrt(noise_var / 2) straight into the real and
-    imaginary parts of the one complex array returned.  The two blocks are
-    drawn by one call into ``normals``, a C-contiguous float64 (2, *shape)
-    array, and the noise goes to ``out``, a complex array of ``shape`` that
-    may be strided; each is a new array when not given.
+    parts, each scaled by sqrt(noise_var / 2).  The two blocks are drawn by
+    one call into ``normals``, a C-contiguous float64 (2, *shape) array.
+    The noise goes to ``out``: a complex array of ``shape``, or a float64
+    (2, *shape) array of its real and imaginary planes, the form the receive
+    chain adds its clean signal to and correlates; either may be strided,
+    and planes may be ``normals`` itself, scaled in place.  Each is a new
+    array, ``out`` a complex one, when not given.
     """
     if noise_var < 0:
         raise DimensionError("noise variance must be nonnegative")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     scale = np.sqrt(noise_var / 2.0)
     normals = rng.standard_normal(out=np.empty((2, *shape)) if normals is None else normals)
+    if out is not None and not np.iscomplexobj(out):
+        return np.multiply(normals, scale, out=out)
     noise = np.empty(shape, dtype=np.complex128) if out is None else out
     np.multiply(normals[0], scale, out=noise.real)
     np.multiply(normals[1], scale, out=noise.imag)
@@ -128,8 +132,10 @@ def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
     that every element's correlation window fits.  Sample k equals
     sum_v w_v * code[(k - v) mod L]: the circular convolution of the code
     with the gains zero-padded to L.  Optional buffers, each a new array
-    when not given: ``out`` for the streams, ``spectrum`` a complex
-    (..., L) scratch array, and ``code_fft`` the code's spectrum fft(code).
+    when not given: ``out`` for the streams, complex (..., n) or their real
+    and imaginary planes as one float (2, ..., n) array, ``spectrum`` a
+    complex (..., L) scratch array, and ``code_fft`` the code's spectrum
+    fft(code).  ``out`` is complex when not given.
     """
     code = np.asarray(code)
     weights = np.asarray(weights)
@@ -147,6 +153,8 @@ def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
     np.fft.ifft(stream, out=stream)
     if out is None:
         out = np.empty(lead + (length + n_elements - 1,), dtype=np.complex128)
-    out[..., :length] = stream
-    out[..., length:] = stream[..., :n_elements - 1]
+    pairs = [(out, stream)] if np.iscomplexobj(out) else zip(out, (stream.real, stream.imag))
+    for part, values in pairs:
+        part[..., :length] = values
+        part[..., length:] = values[..., :n_elements - 1]
     return out

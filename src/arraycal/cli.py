@@ -8,7 +8,7 @@ import numpy as np
 
 from . import harness, theory as accuracy
 from .codes import generate_msequence, periodic_autocorrelation, to_bipolar, walsh_matrix
-from .errors import ArrayCalError, ConfigError
+from .errors import ArrayCalError, ConfigError, NegativeRadicand
 
 
 def _parse_taps(text):
@@ -31,11 +31,11 @@ def _cmd_codes_gen(args):
     else:
         matrix = walsh_matrix(args.length, args.count)
         codes = [matrix[:, v] for v in range(matrix.shape[1])]
-    if args.format == "chips":
-        lines = [repr(float(c)) if args.kind == "walsh" or args.bipolar else str(int(c))
-                 for code in codes for c in code]
-    else:
-        lines = [",".join(repr(float(c)) for c in code) for code in codes]
+    # m-sequence bits print as integers, bipolar and Walsh chips as floats.
+    chip = repr if args.kind == "walsh" or args.bipolar else int
+    values = [[str(chip(c.item())) for c in code] for code in codes]
+    lines = ([v for code in values for v in code] if args.format == "chips" else
+             [",".join(code) for code in values])
     _write_lines(lines, args.out)
     return 0
 
@@ -63,11 +63,16 @@ def _cmd_theory_eval(args):
                                  master_seed=args.seed, taps=args.taps)
     model = harness.PointModel.build(cfg, harness.scenario_points(cfg)[0])
     stats = model.noise_stats()
-    point = accuracy.closed_form_point(model.gains, stats)
     exact = accuracy.theory_point(model.gains, stats)
     print(f"scheme={args.scheme} V={args.elements} L={args.length} EvN0={args.ev_n0_db} dB")
-    print(f"gain RMSE (element-averaged): {accuracy.average_rmse(point.gain_rmse_db):.6g} dB")
-    print(f"phase RMSE (element-averaged): {accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
+    try:
+        point = accuracy.closed_form_point(model.gains, stats)
+        closed = (f"{accuracy.average_rmse(point.gain_rmse_db):.6g} dB",
+                  f"{accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
+    except NegativeRadicand:
+        closed = ("outside the high-SNR expansion's regime",) * 2
+    print(f"gain RMSE (element-averaged): {closed[0]}")
+    print(f"phase RMSE (element-averaged): {closed[1]}")
     # The theory columns of a report, whose repr they print.
     print(f"exact gain RMSE (element-averaged): {accuracy.average_rmse(exact.gain_rmse_db)!r} dB")
     print(f"exact phase RMSE (element-averaged): "
@@ -134,7 +139,8 @@ def build_parser():
     ev_sub = ev.add_subparsers(dest="theory_command", required=True)
     evp = ev_sub.add_parser(
         "eval", help="element-averaged RMSEs of one point: the paper's closed form, a high-SNR "
-                     "expansion, then the exact model that reports print")
+                     "expansion printed as outside its regime where it has no value, then "
+                     "the exact model that reports print")
     evp.add_argument("--scheme", choices=harness.SCHEMES, required=True)
     evp.add_argument("--elements", type=int, required=True)
     evp.add_argument("--length", type=int, required=True)

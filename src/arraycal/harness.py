@@ -27,7 +27,12 @@ by ``[master_seed, point_index, 0]``.  Block b (trials
 draws from one generator seeded by ``[master_seed, point_index, 1 + b]``:
 in per-trial phase mode first the block's (T, V) phases, uniform on
 [0, 2 pi), row t for trial ``b * BLOCK_TRIALS + t``; then its (T, n)
-noise, all T x n real parts before all T x n imaginary parts.  Block size
+noise, all T x n real parts before all T x n imaginary parts.  The receive
+chain keeps the noise as those two real planes, adds the clean signal's
+real and imaginary planes to them, and correlates both with one real
+matrix: OMA's Walsh columns, or CSMS's matched filter, the dense
+(L + V - 1, V) matrix of shifted code copies or an FFT correlation by
+``receiver.csms_matched_filter``'s fixed rule of (L, V).  Block size
 is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
@@ -61,8 +66,8 @@ from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
 from .errors import ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
-from .receiver import (ZfEqualizer, _smooth_length, csms_peaks, extract_mismatch, oma_estimate,
-                       zf_equalize)
+from .receiver import (ZfEqualizer, _smooth_length, csms_matched_filter, csms_peaks,
+                       extract_mismatch, oma_estimate, zf_equalize)
 # Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
 from .receiver import wrap_degrees  # noqa: F401
 
@@ -227,11 +232,12 @@ def rng_stream(master_seed, *key):
 class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
-    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA).  ``spectra``
-    is None (OMA) or the code's spectrum fft(code) and the matched filter's
-    conj(fft(code, n_fft)), n_fft the correlation length.  ``signal`` is
-    ``_realize`` of the gains' phases, the truth de-rotation and clean
-    signal, or None with per-trial phases: each trial block then draws its own.
+    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA), whose
+    columns are OMA's correlator.  ``filters`` is None (OMA) or the code's
+    spectrum fft(code), for the clean stream, and ``csms_matched_filter``'s
+    correlator.  ``signal`` is ``_realize`` of the gains' phases as one
+    (1, V) row, the truth de-rotation and clean signal planes, or None with
+    per-trial phases: each trial block then draws its own.
     """
 
     point: GridPoint
@@ -241,7 +247,7 @@ class PointModel:
     gains: ElementGains
     code: np.ndarray
     eq: ZfEqualizer | None
-    spectra: tuple | None
+    filters: tuple | None
     signal: tuple | None
 
     @classmethod
@@ -249,13 +255,14 @@ class PointModel:
         v, l = point.n_elements, point.code_length
         gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
         if point.scheme == "OMA":
-            code, eq, spectra = walsh_matrix(l, v), None, None
+            code, eq, filters = walsh_matrix(l, v), None, None
         else:
             code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
-            spectra = np.fft.fft(code), np.conj(np.fft.fft(code, _smooth_length(l + v - 1)))
-        signal = None if cfg.phase_policy == "per-trial" else _realize(point, code, gains.phases)
+            filters = np.fft.fft(code), csms_matched_filter(code, v)
+        signal = (None if cfg.phase_policy == "per-trial" else
+                  _realize(point, code, gains.phases[None], code_fft=filters and filters[0]))
         return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
-                   gains, code, eq, spectra, signal)
+                   gains, code, eq, filters, signal)
 
     def noise_stats(self):
         """Error statistics of the receiver's gain estimates at this point."""
@@ -302,17 +309,20 @@ def _realize(point, code, phases, ws=_FRESH, code_fft=None):
     """De-rotation conj(w) and noise-free receive signal of the unit-amplitude
     gains w = exp(i phases), whose truth gain is 0 dB: an estimate times conj(w)
     leaves its error alone.  ``phases`` is (V,) or a block of (T, V); the
-    outputs carry the same leading axes and are arrays of ``ws``."""
-    lead, length = phases.shape[:-1], code.shape[0]
+    outputs carry the same leading axes, the signal as one float (2, ..., n)
+    array of its real and imaginary planes, and are arrays of ``ws``."""
+    lead, v, length = phases.shape[:-1], phases.shape[-1], code.shape[0]
     w = ws.array("weights", phases.shape)
     w.real, w.imag = 0.0, phases  # 1j * phases, whose real parts numpy forms as zeros
     np.exp(w, out=w)
     if point.scheme == "OMA":
-        clean = np.matmul(w, code.T, out=ws.array("clean", (*lead, length)))
+        parts = np.stack((w.real, w.imag), out=ws.array("weight_planes", (2, *lead, v), np.float64))
+        clean = ws.array("clean", (2, *lead, length), np.float64)
+        np.matmul(parts.reshape(-1, v), code.T, out=clean.reshape(-1, length))
     else:
-        # The window is free until the block's noise is drawn into it.
-        clean = csms_clean_stream(code, w, ws.array("clean", (*lead, length + w.shape[-1] - 1)),
-                                  code_fft=code_fft, spectrum=ws.array("window", (*lead, length)))
+        # The spectrum is free until the block's correlation.
+        clean = csms_clean_stream(code, w, ws.array("clean", (2, *lead, length + v - 1), np.float64),
+                                  code_fft=code_fft, spectrum=ws.array("spectrum", (*lead, length)))
     return np.conjugate(w, out=w), clean
 
 
@@ -321,11 +331,15 @@ def _trial_chunk(model, block, out=None):
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
-    ``complex_awgn`` call.  The estimates are de-rotated by the truth before
-    the readout, so its mismatch is the error itself, phase in (-180, 180].
-    The errors go to the first T rows of ``out`` when given, else to a new
-    array.  Every other array of the block lives in the process's
-    ``_workspace``, which the block holds ``_lock`` to use.
+    ``complex_awgn`` call, as real and imaginary planes that the clean
+    signal's planes are added to.  One real correlator takes both planes:
+    the Walsh columns (OMA) or the point's matched filter (CSMS), zero-padded
+    to the FFT length in the workspace when that filter is a spectrum.  The
+    estimates are de-rotated by the truth before the readout, so its
+    mismatch is the error itself, phase in (-180, 180].  The errors go to
+    the first T rows of ``out`` when given, else to a new array.  Every other
+    array of the block lives in the process's ``_workspace``, which the block
+    holds ``_lock`` to use.
     """
     point, v = model.point, model.point.n_elements
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
@@ -337,23 +351,30 @@ def _trial_chunk(model, block, out=None):
             # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
             phases = rng.random(out=ws.array("phases", (size, v), np.float64))
             derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
-                                       ws, model.spectra and model.spectra[0])
+                                       ws, model.filters and model.filters[0])
         else:
             derotate, clean = model.signal
         n = clean.shape[-1]
-        # CSMS: zero-padded to the correlation length, and transformed in place.
-        window = ws.array("window", (size, n if model.spectra is None else model.spectra[1].size))
-        received = complex_awgn(rng, (size, n), model.noise_var, window[:, :n],
-                                ws.array("normals", (2, size, n), np.float64))
+        spectral = model.filters is not None and model.filters[1].ndim == 1
+        width = _smooth_length(n) if spectral else n
+        normals = ws.array("normals", (2, size, n), np.float64)
+        planes = ws.array("planes", (2, size, width), np.float64) if width > n else normals
+        received = complex_awgn(rng, (size, n), model.noise_var, planes[..., :n], normals)
         np.add(received, clean, out=received)
-        if point.scheme == "OMA":
-            estimates = oma_estimate(model.code, window, ws.array("estimates", (size, v)))
+        if spectral:
+            planes[..., n:] = 0.0
+            # The inverse transform overwrites the planes, which the spectrum holds.
+            work = planes.reshape(2 * size, width)
+            spectrum = ws.array("spectrum", (2 * size, width // 2 + 1))
         else:
-            window[:, n:] = 0.0
-            # F-ordered (T, V) peaks, as the allocating gather gives them: their
-            # layout fixes the order in which zf_equalize sums them.
-            peaks = csms_peaks(model.code, v, window, ws.array("peaks", (v, size)).T,
-                               filter_fft=model.spectra[1], spectrum=window)
+            work, spectrum = ws.array("correlation", (2 * size, v), np.float64), None
+        if point.scheme == "OMA":
+            estimates = oma_estimate(model.code, planes, ws.array("estimates", (size, v)), work)
+        else:
+            # F-ordered (T, V) peaks, as csms_peaks allocates them: their layout
+            # fixes the order in which zf_equalize sums them.
+            peaks = csms_peaks(model.code, v, planes, ws.array("peaks", (v, size)).T,
+                               matched_filter=model.filters[1], spectrum=spectrum, work=work)
             estimates = zf_equalize(peaks, model.eq, ws.array("estimates", (size, v)))
         derotated = np.multiply(estimates, derotate, out=ws.array("derotated", (size, v)))
         extract_mismatch(derotated, out, ws.array("product", (size, v - 1)))

@@ -120,6 +120,21 @@ class TestComplexAwgn:
         assert got.shape == (113,)
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("shape", [113, (6, 9)])
+    def test_planes_are_the_complex_noise_parts(self, shape):
+        # The planes form, scaled in place in the normals or into a strided
+        # view of a padded buffer, holds the complex form's parts byte for byte.
+        noise = complex_awgn(np.random.default_rng(9), shape, 0.3)
+        normals = np.empty((2, *noise.shape))
+        planes = complex_awgn(np.random.default_rng(9), shape, 0.3, normals, normals)
+        assert planes is normals
+        assert planes[0].tobytes() == noise.real.tobytes()
+        assert planes[1].tobytes() == noise.imag.tobytes()
+        padded = np.zeros((2, *noise.shape[:-1], noise.shape[-1] + 3))
+        complex_awgn(np.random.default_rng(9), shape, 0.3, padded[..., :-3])
+        assert padded[..., :-3].tobytes() == planes.tobytes()
+        assert not padded[..., -3:].any()
+
     def test_block_shape_draw_order(self):
         # A (T, n) block draws all T x n real parts in C order, then all imaginary parts.
         t, n = 6, 9
@@ -133,8 +148,8 @@ class TestComplexAwgn:
 class TestComplexAwgnMatchesSummedBlocks:
     """``complex_awgn`` gives the bytes of two scaled normal blocks summed into a
     complex array: the noise itself at nonzero variance, and the receive windows
-    (clean signal plus noise) at zero variance, where only the signs of the
-    noise's zeros could differ."""
+    (clean signal planes plus noise planes) at zero variance, where only the
+    signs of the noise's zeros could differ."""
 
     @pytest.mark.parametrize("shape", [113, (6, 9), (1, 1021)])
     def test_noise_bytes_at_nonzero_variance(self, shape):
@@ -144,8 +159,9 @@ class TestComplexAwgnMatchesSummedBlocks:
     @staticmethod
     def assert_zero_variance_windows_match(point, clean, key):
         shape = (3, clean.shape[-1])
-        got = clean + complex_awgn(rng_stream(*key), shape, 0.0)
-        expected = clean + summed_blocks_awgn(rng_stream(*key), shape, 0.0)
+        got = clean + complex_awgn(rng_stream(*key), shape, 0.0, np.empty((2, *shape)))
+        noise = summed_blocks_awgn(rng_stream(*key), shape, 0.0)
+        expected = clean + np.stack((noise.real, noise.imag))
         assert got.tobytes() == expected.tobytes(), point
 
     @pytest.mark.parametrize("figure", ["fig5", "fig7"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from arraycal.cli import main
-from arraycal.harness import DEFAULT_SEED, ScenarioConfig, run_scenario
+from arraycal.codes import msequence_code
+from arraycal.harness import DEFAULT_SEED, ScenarioConfig, figure_configs, run_scenario
+from arraycal.receiver import csms_matched_filter
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +29,22 @@ class TestCodesCommands:
         chips = np.array([float(line) for line in out.strip().splitlines()])
         assert chips.size == 7
         assert np.dot(chips, chips) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["chips", "csv"])
+    def test_gen_msequence_bits_print_as_integers(self, capsys, fmt):
+        code, out, _ = run_cli(capsys, "codes", "gen", "--degree", "3", "--taps", "3,1",
+                               "--format", fmt)
+        assert code == 0
+        values = out.split() if fmt == "chips" else out.strip().split(",")
+        assert len(values) == 7 and set(values) == {"0", "1"}
+
+    def test_gen_msequence_bipolar_csv_prints_floats(self, capsys):
+        code, out, _ = run_cli(capsys, "codes", "gen", "--degree", "3", "--taps", "3,1",
+                               "--bipolar", "--format", "csv")
+        assert code == 0
+        values = out.strip().split(",")
+        assert len(values) == 7
+        assert all(v == repr(float(v)) and abs(float(v)) < 1 for v in values)
 
     def test_gen_walsh_csv_rows(self, capsys):
         code, out, _ = run_cli(capsys, "codes", "gen", "--kind", "walsh",
@@ -94,6 +112,22 @@ class TestTheoryEval:
         row = run_scenario(cfg).rows[0]
         assert gain[0] == repr(row.gain_rmse_theory_db)
         assert phase[0] == repr(row.phase_rmse_theory_deg)
+
+    def test_point_outside_the_expansion_regime_prints_the_exact_model(self, capsys):
+        # The closed form's phase radicand is -60 here; the exact model has the
+        # report's theory columns, and the point is a valid one.
+        code, out, err = run_cli(capsys, "theory", "eval", "--scheme", "CSMS",
+                                 "--elements", "127", "--length", "127", "--ev-n0-db", "5")
+        assert code == 0 and err == ""
+        lines = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        outside = "outside the high-SNR expansion's regime"
+        assert lines["gain RMSE (element-averaged)"] == outside
+        assert lines["phase RMSE (element-averaged)"] == outside
+        cfg = ScenarioConfig(scheme="CSMS", code_length=127, n_elements=127,
+                             snr_grid_db=(5.0,), master_seed=DEFAULT_SEED, trials=1)
+        row = run_scenario(cfg).rows[0]
+        assert lines["exact gain RMSE (element-averaged)"] == f"{row.gain_rmse_theory_db!r} dB"
+        assert lines["exact phase RMSE (element-averaged)"] == f"{row.phase_rmse_theory_deg!r} deg"
 
     @pytest.mark.parametrize("argv", [
         ["--scheme", "OMA", "--elements", "8", "--length", "63"],
@@ -217,6 +251,21 @@ class TestReproduce:
         assert lines[0].startswith("# fig7")
         assert lines[1].startswith("scheme,V,L,")
         assert len(lines) > 10
+
+    def test_fig7_is_byte_identical_at_one_and_two_workers(self, capsys, tmp_path):
+        # The grid straddles the matched filter's switch: its CSMS points use
+        # both the dense filter and the FFT one.
+        forms = {csms_matched_filter(msequence_code(cfg.code_length), v).ndim
+                 for cfg in figure_configs("fig7")[1:] for v in cfg.v_grid}
+        assert forms == {1, 2}
+        outputs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"fig7_{workers}.csv"
+            code, _, _ = run_cli(capsys, "reproduce", "fig7", "--trials", "200",
+                                 "--workers", workers, "--out", str(out_path))
+            assert code == 0
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_reproduce_trials_below_one_reports_error(self, capsys, trials):

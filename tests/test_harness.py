@@ -622,17 +622,29 @@ class TestWorkspace:
                        trials=640, master_seed=31337, phase_policy="per-trial"),
         ScenarioConfig(scheme="OMA", code_length=128, v_grid=(120,), ev_n0_db=30.0,
                        trials=640, master_seed=31337, phase_policy="per-trial"),
-    ], ids=["CSMS-255-50", "OMA-256-50", "CSMS-127-120-per-trial", "OMA-128-120-per-trial"])
+        ScenarioConfig(scheme="OMA", code_length=512, v_grid=(50,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337),
+        ScenarioConfig(scheme="CSMS", code_length=127, v_grid=(127,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337),
+        ScenarioConfig(scheme="CSMS", code_length=511, v_grid=(408,), ev_n0_db=30.0,
+                       trials=640, master_seed=31337),
+    ], ids=["CSMS-255-50", "OMA-256-50", "CSMS-127-120-per-trial", "OMA-128-120-per-trial",
+            "OMA-512-50", "CSMS-127-127-dense", "CSMS-511-408-fft"])
     def test_warm_blocks_take_no_page_faults(self, cfg):
         # A block's arrays above the allocator's mmap threshold live in the
         # workspace.  Fresh ones would be mapped and faulted in again on every
-        # block: about 260 minor faults per block at CSMS 255/50.  The (T, 2,
-        # V-1) result, below the threshold, is the block's only new array.
+        # block: about 260 minor faults per block at CSMS 255/50, and about 60
+        # at OMA 512/50 for a complex copy of the Walsh matrix.  The blocks
+        # write their errors into one caller's buffer, as in _point_row; a new
+        # (T, 2, V-1) result of 417 KB at V = 408 would be mapped itself.  CSMS
+        # 127/127 has a dense matched filter and 511/408 an FFT one.
         model = PointModel.build(cfg, scenario_points(cfg)[0])
-        harness._trial_chunk(model, 0)
+        point = model.point
+        errors = np.empty((harness.BLOCK_TRIALS, 2, point.n_elements - 1))
+        harness._trial_chunk(model, 0, errors)
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for block in range(1, 10):
-            harness._trial_chunk(model, block)
+            harness._trial_chunk(model, block, errors)
         assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before <= 9
 
 
@@ -930,15 +942,17 @@ class TestWorkerPool:
             harness._openblas.cache_clear()
 
 
-# An OMA scenario through the in-process path, whose receiver is a BLAS product;
-# the caller's BLAS thread count must be the same after the call as before it.
+# An OMA and a dense-filter CSMS scenario through the in-process path, whose
+# receivers are BLAS products; the caller's BLAS thread count must be the same
+# after each call as before it.
 OMA_CSV_SCRIPT = """
 from arraycal import ScenarioConfig, harness, run_scenario
 before = harness._openblas().scipy_openblas_get_num_threads64_()
-cfg = ScenarioConfig(scheme="OMA", code_length=256, n_elements=50,
-                     snr_grid_db=(10.0, 30.0), trials=200)
-print(run_scenario(cfg, workers=1).to_csv_text(), end="")
-assert harness._openblas().scipy_openblas_get_num_threads64_() == before
+for scheme, length in (("OMA", 256), ("CSMS", 255)):
+    cfg = ScenarioConfig(scheme=scheme, code_length=length, n_elements=50,
+                         snr_grid_db=(10.0, 30.0), trials=200)
+    print(run_scenario(cfg, workers=1).to_csv_text(), end="")
+    assert harness._openblas().scipy_openblas_get_num_threads64_() == before
 """
 
 
@@ -1076,7 +1090,7 @@ class TestCallerBlasThreads:
             child = _run_child(OMA_CSV_SCRIPT, OPENBLAS_NUM_THREADS=threads)
             assert child.returncode == 0, child.stderr
             outputs.append(child.stdout)
-        assert outputs[0].count("\n") == 3
+        assert outputs[0].count("\n") == 6
         assert outputs[0] == outputs[1]
 
 

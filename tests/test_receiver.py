@@ -8,8 +8,9 @@ import pytest
 from arraycal.channel import ElementGains, csms_clean_stream
 from arraycal.codes import msequence_code, periodic_autocorrelation, walsh_matrix
 from arraycal.errors import DimensionError, ReferenceZero, SingularError
-from arraycal.receiver import (MismatchReport, ZfEqualizer, csms_peaks, extract_mismatch,
-                               oma_estimate, wrap_degrees, zf_equalize)
+from arraycal.receiver import (MismatchReport, ZfEqualizer, _dense_filter, _smooth_length,
+                               csms_matched_filter, csms_peaks, extract_mismatch, oma_estimate,
+                               wrap_degrees, zf_equalize)
 from oracles import build_correlation_matrix, two_angle_mismatch, zf_inverse_matrix
 
 
@@ -29,6 +30,16 @@ class TestOmaEstimate:
     def test_window_length_checked(self):
         with pytest.raises(DimensionError):
             oma_estimate(walsh_matrix(4, 2), np.zeros(3, dtype=complex))
+
+    def test_planes_give_the_complex_product(self):
+        # One real product of both planes with the Walsh columns.
+        c = walsh_matrix(64, 50)
+        windows = complex_normal(np.random.default_rng(1), 5, 64)
+        planes = np.stack((windows.real, windows.imag))
+        got = oma_estimate(c, planes)
+        np.testing.assert_allclose(got, windows.real @ c + 1j * (windows.imag @ c),
+                                   rtol=0, atol=1e-13)
+        assert oma_estimate(c, windows).tobytes() == got.tobytes()
 
 
 def complex_normal(rng, *shape):
@@ -76,8 +87,8 @@ class TestCsmsPeaks:
                     m //= p
             return m == 1
 
-        fft, lengths = np.fft.fft, []
-        monkeypatch.setattr(np.fft, "fft",
+        fft, lengths = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft",
                             lambda a, n=None, *args, **kwargs:
                             lengths.append(n) or fft(a, n, *args, **kwargs))
         rng = np.random.default_rng(32)
@@ -109,6 +120,66 @@ class TestCsmsPeaks:
             csms_clean_stream(code, np.ones(n_elements))
         with pytest.raises(DimensionError):
             csms_peaks(code, n_elements, np.zeros(20, dtype=complex))
+
+
+class TestMatchedFilters:
+    """The dense and FFT forms of the CSMS matched filter correlate the same planes
+    as the direct sum does, and (L, V) alone chooses between them."""
+
+    # V = 1, V = L, and the last dense and first FFT element counts at L = 255 and 511.
+    CASES = [(7, 1), (63, 1), (7, 7), (63, 63), (127, 127), (255, 255), (511, 511),
+             (255, 213), (255, 214), (511, 151), (511, 152)]
+
+    @staticmethod
+    def direct(code, n_elements, planes):
+        shifts = [planes[..., q:q + code.size] @ code for q in range(n_elements)]
+        return np.stack(shifts, axis=-1)
+
+    @pytest.mark.parametrize("length, n_elements", CASES)
+    def test_both_forms_equal_the_direct_sum(self, length, n_elements):
+        code = msequence_code(length)
+        rows = length + n_elements - 1
+        planes = np.random.default_rng(length + n_elements).standard_normal((2, 5, rows))
+        direct = self.direct(code, n_elements, planes)
+        direct = direct[0] + 1j * direct[1]
+        spectrum = np.conj(np.fft.rfft(code, _smooth_length(rows)))
+        for matched in (_dense_filter(code, n_elements), spectrum, None):
+            got = csms_peaks(code, n_elements, planes, matched_filter=matched)
+            assert got.shape == (5, n_elements)
+            assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("length, n_elements", CASES)
+    def test_complex_stream_gives_its_planes_peaks(self, length, n_elements):
+        code = msequence_code(length)
+        stream = complex_normal(np.random.default_rng(7), 3, length + n_elements - 1)
+        matched = csms_matched_filter(code, n_elements)
+        planes = np.stack((stream.real, stream.imag))
+        np.testing.assert_array_equal(csms_peaks(code, n_elements, stream, matched_filter=matched),
+                                      csms_peaks(code, n_elements, planes, matched_filter=matched))
+
+    def test_dense_filter_is_the_shifted_code(self):
+        code = msequence_code(7)
+        matrix = _dense_filter(code, 3)
+        assert matrix.shape == (9, 3) and matrix.flags.c_contiguous
+        for v in range(3):
+            np.testing.assert_array_equal(matrix[:, v], np.roll(np.r_[code, 0.0, 0.0], v))
+
+    def test_size_rule_chooses_the_form(self):
+        # Dense while (L + V - 1) * V <= 100 000: every fig5 point (V = 50 up to
+        # L = 255), every V at L = 127, L = 255 up to V = 213 and L = 511 up to 151.
+        for length in (63, 127, 255):
+            assert csms_matched_filter(msequence_code(length), 50).ndim == 2
+        for length, n_elements in [(127, 127), (255, 204), (255, 213), (511, 151)]:
+            assert csms_matched_filter(msequence_code(length), n_elements).ndim == 2
+        for length, n_elements in [(255, 214), (255, 255), (511, 152), (511, 408), (511, 511)]:
+            matched = csms_matched_filter(msequence_code(length), n_elements)
+            assert matched.shape == (_smooth_length(length + n_elements - 1) // 2 + 1,)
+
+    def test_float_input_must_be_planes(self):
+        with pytest.raises(DimensionError, match="planes"):
+            csms_peaks(msequence_code(7), 2, np.zeros((3, 8)))
+        with pytest.raises(DimensionError, match="planes"):
+            oma_estimate(walsh_matrix(4, 2), np.zeros(4))
 
 
 class TestBuildCorrelationMatrix:
