@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DimensionError
+from .receiver import new_array
 
 # dB form of the Boltzmann constant used by the link budget (configurable
 # per LinkBudget instance).
@@ -96,34 +97,35 @@ def noise_var_from_snr(ev_n0_db, amplitude):
     return amplitude**2 / 10.0 ** (ev_n0_db / 10.0)
 
 
-def complex_awgn(rng, shape, noise_var, out=None, normals=None):
+def complex_awgn(rng, shape, noise_var, out=None):
     """Circularly-symmetric complex Gaussian noise of ``shape``, E|x|^2 = noise_var.
 
     ``shape`` is an int n or a tuple such as (T, n).  Draw order is part of
     the reproducibility contract: one block of standard normals of
     ``shape`` (C order) for the real parts, then one for the imaginary
-    parts, each scaled by sqrt(noise_var / 2).  The two blocks are drawn by
-    one call into ``normals``, a C-contiguous float64 (2, *shape) array.
-    The noise goes to ``out``: a complex array of ``shape``, or a float64
-    (2, *shape) array of its real and imaginary planes, the form the receive
-    chain adds its clean signal to and correlates; either may be strided,
-    and planes may be ``normals`` itself, scaled in place.  Each is a new
-    array, ``out`` a complex one, when not given.
+    parts, each scaled by sqrt(noise_var / 2); one call draws both.  The
+    noise goes to ``out``: a complex array of ``shape``, or a C-contiguous
+    float64 (2, *shape) array of its real and imaginary planes, the form the
+    receive chain adds its clean signal to and correlates, which the normals
+    are drawn into and scaled in place.  ``out`` is a new complex array when
+    not given.
     """
     if noise_var < 0:
         raise DimensionError("noise variance must be nonnegative")
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     scale = np.sqrt(noise_var / 2.0)
-    normals = rng.standard_normal(out=np.empty((2, *shape)) if normals is None else normals)
     if out is not None and not np.iscomplexobj(out):
-        return np.multiply(normals, scale, out=out)
+        if out.shape != (2, *shape):
+            raise DimensionError(f"planes of shape {out.shape} do not hold noise of shape {shape}")
+        return np.multiply(rng.standard_normal(out=out), scale, out=out)
+    normals = rng.standard_normal((2, *shape))
     noise = np.empty(shape, dtype=np.complex128) if out is None else out
     np.multiply(normals[0], scale, out=noise.real)
     np.multiply(normals[1], scale, out=noise.imag)
     return noise
 
 
-def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
+def csms_clean_stream(code, weights, out=None, scratch=new_array):
     """Noise-free composite streams: periodic extension of the shifted-code sum.
 
     Element v is the code shifted by v chips.  ``weights`` are the complex
@@ -131,11 +133,10 @@ def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
     leading batch axes; each row gives one stream of length L + V - 1, so
     that every element's correlation window fits.  Sample k equals
     sum_v w_v * code[(k - v) mod L]: the circular convolution of the code
-    with the gains zero-padded to L.  Optional buffers, each a new array
-    when not given: ``out`` for the streams, complex (..., n) or their real
-    and imaginary planes as one float (2, ..., n) array, ``spectrum`` a
-    complex (..., L) scratch array, and ``code_fft`` the code's spectrum
-    fft(code).  ``out`` is complex when not given.
+    with the gains zero-padded to L.  ``out`` receives the streams, complex
+    (..., n) or their real and imaginary planes as one float (2, ..., n)
+    array, and is a new complex array when not given.  ``scratch`` gives the
+    complex (..., L) spectrum as "spectrum".
     """
     code = np.asarray(code)
     weights = np.asarray(weights)
@@ -144,12 +145,12 @@ def csms_clean_stream(code, weights, out=None, *, code_fft=None, spectrum=None):
         raise DimensionError(f"need 1 to {length} elements, got weights of shape {weights.shape}")
     lead = weights.shape[:-1]
     # Padded by hand: fft(weights, L) gives the same bytes, 1.5-2x slower on a block.
-    placed = np.empty(lead + (length,), dtype=np.complex128) if spectrum is None else spectrum
+    placed = scratch("spectrum", lead + (length,), np.complex128)
     placed[..., :n_elements] = weights
     placed[..., n_elements:] = 0.0
     stream = np.fft.fft(placed, out=placed)
-    # code_fft first: the complex product's bytes depend on its operand order.
-    np.multiply(np.fft.fft(code) if code_fft is None else code_fft, stream, out=stream)
+    # fft(code) first: the complex product's bytes depend on its operand order.
+    np.multiply(np.fft.fft(code), stream, out=stream)
     np.fft.ifft(stream, out=stream)
     if out is None:
         out = np.empty(lead + (length + n_elements - 1,), dtype=np.complex128)

@@ -4,14 +4,15 @@ Each grid point is built once into an immutable ``PointModel``; it feeds
 the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
 batched pass through that chain, in arrays of one workspace that the
-process keeps and grows to its largest block.  A grid point is the only
-task of a scenario call: the task that owns it builds its model, predicts,
-runs its blocks and reduces them to its report row.  One runner serves both
-``run_scenario`` and ``reproduce_figure``: it runs the point task for every
-(config, point) pair of the call, in report order in process when the call
-has one task or one worker, otherwise on the process's worker pool, which
-gets the tasks longest first and hands the rows back in report order.  That
-pool is forked once per process, by the first pooled call, with
+process keeps by name and grows to its largest block; every stage draws
+its own temporaries from it, through its ``scratch`` argument.  A grid
+point is the only task of a scenario call: the task that owns it builds
+its model, predicts, runs its blocks and reduces them to its report row.
+One runner serves both ``run_scenario`` and ``reproduce_figure``: it runs
+the point task for every (config, point) pair of the call, in report order
+in process when the call has one task or one worker, otherwise on the
+process's worker pool, which gets the tasks longest first and hands the
+rows back in report order.  That pool is forked once per process, by the first pooled call, with
 ``min(workers, CPU count)`` workers of one BLAS thread each; later calls
 of the same size reuse it, and its workers are joined at interpreter exit
 or exit by themselves when the calling process dies.  A process runs one
@@ -28,11 +29,12 @@ draws from one generator seeded by ``[master_seed, point_index, 1 + b]``:
 in per-trial phase mode first the block's (T, V) phases, uniform on
 [0, 2 pi), row t for trial ``b * BLOCK_TRIALS + t``; then its (T, n)
 noise, all T x n real parts before all T x n imaginary parts.  The receive
-chain keeps the noise as those two real planes, adds the clean signal's
-real and imaginary planes to them, and correlates both with one real
-matrix: OMA's Walsh columns, or CSMS's matched filter, the dense
-(L + V - 1, V) matrix of shifted code copies or an FFT correlation by
-``receiver.csms_matched_filter``'s fixed rule of (L, V).  Block size
+chain draws the noise straight into one array of those two real planes,
+adds the clean signal's real and imaginary planes to them, and correlates
+both with one real matrix: OMA's Walsh columns, or CSMS's matched filter,
+the dense (L + V - 1, V) matrix of shifted code copies or an FFT
+correlation by ``receiver.csms_matched_filter``'s fixed rule of (L, V),
+which ``csms_peaks`` also applies by default.  Block size
 is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
 bytes, and so does the trial count whenever it changes the size of the
 last, partial block.  Neither trials nor blocks depend on the worker
@@ -66,8 +68,8 @@ from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
 from .errors import ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
-from .receiver import (ZfEqualizer, _smooth_length, csms_matched_filter, csms_peaks,
-                       extract_mismatch, oma_estimate, zf_equalize)
+from .receiver import (ZfEqualizer, csms_matched_filter, csms_peaks, extract_mismatch, new_array,
+                       oma_estimate, zf_equalize)
 # Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
 from .receiver import wrap_degrees  # noqa: F401
 
@@ -233,11 +235,10 @@ class PointModel:
     """Everything the trials of one grid point share; built once, never mutated.
 
     ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA), whose
-    columns are OMA's correlator.  ``filters`` is None (OMA) or the code's
-    spectrum fft(code), for the clean stream, and ``csms_matched_filter``'s
-    correlator.  ``signal`` is ``_realize`` of the gains' phases as one
-    (1, V) row, the truth de-rotation and clean signal planes, or None with
-    per-trial phases: each trial block then draws its own.
+    columns are OMA's correlator.  ``matched_filter`` is None (OMA) or
+    ``csms_matched_filter``'s correlator.  ``signal`` is ``_realize`` of the
+    gains' phases as one (1, V) row, the truth de-rotation and clean signal
+    planes, or None with per-trial phases: each trial block then draws its own.
     """
 
     point: GridPoint
@@ -247,7 +248,7 @@ class PointModel:
     gains: ElementGains
     code: np.ndarray
     eq: ZfEqualizer | None
-    filters: tuple | None
+    matched_filter: np.ndarray | None
     signal: tuple | None
 
     @classmethod
@@ -255,14 +256,14 @@ class PointModel:
         v, l = point.n_elements, point.code_length
         gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
         if point.scheme == "OMA":
-            code, eq, filters = walsh_matrix(l, v), None, None
+            code, eq, matched_filter = walsh_matrix(l, v), None, None
         else:
             code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
-            filters = np.fft.fft(code), csms_matched_filter(code, v)
+            matched_filter = csms_matched_filter(code, v)
         signal = (None if cfg.phase_policy == "per-trial" else
-                  _realize(point, code, gains.phases[None], code_fft=filters and filters[0]))
+                  _realize(point, code, gains.phases[None]))
         return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
-                   gains, code, eq, filters, signal)
+                   gains, code, eq, matched_filter, signal)
 
     def noise_stats(self):
         """Error statistics of the receiver's gain estimates at this point."""
@@ -275,54 +276,50 @@ class PointModel:
 class _Workspace:
     """Named arrays of one trial block, kept for the process.
 
-    Each name's flat buffer grows to the largest block seen and is never
+    Each name's bytes grow to the largest array asked for and are never
     shrunk, so a warm block allocates no array above the allocator's mmap
-    threshold and takes no page faults.  Each buffer is its own private
-    anonymous memory map: kept on the malloc heap, it would stop the heap
-    from giving back the point buffers freed below it (full fig7 at one
-    worker peaked 15 MB higher), and a shared map would be written by every
-    forked worker at once.  A workspace made with ``keep=False`` hands out
-    new arrays instead."""
+    threshold and takes no page faults.  Each name's bytes are their own
+    private anonymous memory map: kept on the malloc heap, they would stop
+    the heap from giving back the point buffers freed below them (full fig7
+    at one worker peaked 15 MB higher), and a shared map would be written by
+    every forked worker at once."""
 
-    def __init__(self, keep=True):
-        self._buffers = {} if keep else None
+    def __init__(self):
+        self._maps = {}
 
-    def array(self, name, shape, dtype=np.complex128):
-        """A C-ordered array of ``shape`` on the prefix of buffer ``name``."""
-        if self._buffers is None:
-            return np.empty(shape, dtype)
-        size = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.size < size:
-            memory = mmap.mmap(-1, size * np.dtype(dtype).itemsize, **_PRIVATE_MAP)
-            buffer = self._buffers[name] = np.frombuffer(memory, dtype)
-        return buffer[:size].reshape(shape)
+    def array(self, name, shape, dtype):
+        """A C-ordered array of ``shape`` and ``dtype`` on the first bytes of map ``name``,
+        whatever dtype the name was asked for before: the ``scratch`` of the receive stages."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        memory = self._maps.get(name)
+        if memory is None or len(memory) < size:
+            memory = self._maps[name] = mmap.mmap(-1, size, **_PRIVATE_MAP)
+        return np.ndarray(shape, dtype, memory)
 
 
 # Windows has no flags, and no fork to share a map with.
 _PRIVATE_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-_FRESH = _Workspace(keep=False)
 _workspace = _Workspace()  # used only by _trial_chunk, under _lock
 
 
-def _realize(point, code, phases, ws=_FRESH, code_fft=None):
+def _realize(point, code, phases, scratch=new_array):
     """De-rotation conj(w) and noise-free receive signal of the unit-amplitude
     gains w = exp(i phases), whose truth gain is 0 dB: an estimate times conj(w)
     leaves its error alone.  ``phases`` is (V,) or a block of (T, V); the
     outputs carry the same leading axes, the signal as one float (2, ..., n)
-    array of its real and imaginary planes, and are arrays of ``ws``."""
+    array of its real and imaginary planes, and come from ``scratch``."""
     lead, v, length = phases.shape[:-1], phases.shape[-1], code.shape[0]
-    w = ws.array("weights", phases.shape)
+    w = scratch("weights", phases.shape, np.complex128)
     w.real, w.imag = 0.0, phases  # 1j * phases, whose real parts numpy forms as zeros
     np.exp(w, out=w)
     if point.scheme == "OMA":
-        parts = np.stack((w.real, w.imag), out=ws.array("weight_planes", (2, *lead, v), np.float64))
-        clean = ws.array("clean", (2, *lead, length), np.float64)
+        parts = np.stack((w.real, w.imag), out=scratch("weight_planes", (2, *lead, v), np.float64))
+        clean = scratch("clean", (2, *lead, length), np.float64)
         np.matmul(parts.reshape(-1, v), code.T, out=clean.reshape(-1, length))
     else:
-        # The spectrum is free until the block's correlation.
-        clean = csms_clean_stream(code, w, ws.array("clean", (2, *lead, length + v - 1), np.float64),
-                                  code_fft=code_fft, spectrum=ws.array("spectrum", (*lead, length)))
+        clean = csms_clean_stream(code, w, scratch("clean", (2, *lead, length + v - 1), np.float64),
+                                  scratch)
     return np.conjugate(w, out=w), clean
 
 
@@ -331,53 +328,54 @@ def _trial_chunk(model, block, out=None):
 
     One generator, ``[master_seed, point_index, 1 + block]``, draws the
     block's (T, V) phases (per-trial mode), then its (T, n) noise in one
-    ``complex_awgn`` call, as real and imaginary planes that the clean
-    signal's planes are added to.  One real correlator takes both planes:
-    the Walsh columns (OMA) or the point's matched filter (CSMS), zero-padded
-    to the FFT length in the workspace when that filter is a spectrum.  The
-    estimates are de-rotated by the truth before the readout, so its
+    ``complex_awgn`` call, straight into one (2, T, n) planes array that the
+    clean signal's planes are added to.  One real correlator takes both
+    planes: the Walsh columns (OMA) or the point's matched filter (CSMS).
+    The estimates are de-rotated by the truth before the readout, so its
     mismatch is the error itself, phase in (-180, 180].  The errors go to
     the first T rows of ``out`` when given, else to a new array.  Every other
     array of the block lives in the process's ``_workspace``, which the block
-    holds ``_lock`` to use.
+    holds ``_lock`` to use and passes to every stage as its ``scratch``.  Its
+    names are of two kinds:
+
+    - the stages' temporaries, each used only while its stage runs, so that
+      stages share them: complex128 "spectrum", the clean stream's (T, L) or
+      the correlation's (2T, n_fft // 2 + 1); float64 "correlation", the
+      (2T, V) product or (2T, n_fft) inverse transform; complex128 "product",
+      the readout's (T, V-1);
+    - the arrays passed from stage to stage: float64 "phases" (T, V),
+      "weight_planes" (2, T, V), "clean" and "planes" (2, T, n); complex128
+      "weights" (T, V), the de-rotation, "peaks" (V, T), "estimates" and
+      "derotated" (T, V).
     """
     point, v = model.point, model.point.n_elements
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
     out = np.empty((size, 2, v - 1)) if out is None else out[:size]
     with _lock:
-        ws = _workspace
+        scratch = _workspace.array
         rng = rng_stream(model.master_seed, point.index, 1 + block)
         if model.signal is None:
             # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
-            phases = rng.random(out=ws.array("phases", (size, v), np.float64))
+            phases = rng.random(out=scratch("phases", (size, v), np.float64))
             derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
-                                       ws, model.filters and model.filters[0])
+                                       scratch)
         else:
             derotate, clean = model.signal
-        n = clean.shape[-1]
-        spectral = model.filters is not None and model.filters[1].ndim == 1
-        width = _smooth_length(n) if spectral else n
-        normals = ws.array("normals", (2, size, n), np.float64)
-        planes = ws.array("planes", (2, size, width), np.float64) if width > n else normals
-        received = complex_awgn(rng, (size, n), model.noise_var, planes[..., :n], normals)
-        np.add(received, clean, out=received)
-        if spectral:
-            planes[..., n:] = 0.0
-            # The inverse transform overwrites the planes, which the spectrum holds.
-            work = planes.reshape(2 * size, width)
-            spectrum = ws.array("spectrum", (2 * size, width // 2 + 1))
-        else:
-            work, spectrum = ws.array("correlation", (2 * size, v), np.float64), None
+        planes = scratch("planes", (2, size, clean.shape[-1]), np.float64)
+        complex_awgn(rng, planes.shape[1:], model.noise_var, planes)
+        np.add(planes, clean, out=planes)
+        estimates = scratch("estimates", (size, v), np.complex128)
         if point.scheme == "OMA":
-            estimates = oma_estimate(model.code, planes, ws.array("estimates", (size, v)), work)
+            oma_estimate(model.code, planes, estimates, scratch)
         else:
             # F-ordered (T, V) peaks, as csms_peaks allocates them: their layout
             # fixes the order in which zf_equalize sums them.
-            peaks = csms_peaks(model.code, v, planes, ws.array("peaks", (v, size)).T,
-                               matched_filter=model.filters[1], spectrum=spectrum, work=work)
-            estimates = zf_equalize(peaks, model.eq, ws.array("estimates", (size, v)))
-        derotated = np.multiply(estimates, derotate, out=ws.array("derotated", (size, v)))
-        extract_mismatch(derotated, out, ws.array("product", (size, v - 1)))
+            peaks = csms_peaks(model.code, v, planes, scratch("peaks", (v, size), np.complex128).T,
+                               matched_filter=model.matched_filter, scratch=scratch)
+            zf_equalize(peaks, model.eq, estimates)
+        derotated = np.multiply(estimates, derotate,
+                                out=scratch("derotated", (size, v), np.complex128))
+        extract_mismatch(derotated, out, scratch)
     return out
 
 

@@ -7,22 +7,30 @@ import numpy as np
 from .errors import DimensionError, ReferenceZero, SingularError
 
 
-def oma_estimate(code_matrix, window, out=None, work=None):
+def new_array(name, shape, dtype):
+    """Each receive stage's default ``scratch``, which it asks for its temporaries by name."""
+    return np.empty(shape, dtype)
+
+
+def oma_estimate(code_matrix, window, out=None, scratch=new_array):
     """Per-element gain estimates from one (L,) window or a (..., L) batch.
 
     With orthonormal columns the correlation peaks C.T @ window are
     already unbiased gain estimates; no equalizer is needed.  ``window`` is
     complex or its float (2, ..., L) real and imaginary planes, which go
-    through one real product with C into ``work``, a float (2 * rows, V)
-    array; its halves become the complex (..., V) estimates in ``out``.
-    Each is a new array when not given.
+    through one real product with C into ``scratch("correlation")``, a float
+    (2 * rows, V) array; its halves become the complex (..., V) estimates in
+    ``out``, a new array when not given.
     """
     code_matrix = np.asarray(code_matrix)
+    columns = code_matrix.shape[1:]
     planes = _planes(window)
     if planes.shape[-1:] != code_matrix.shape[:1]:
         raise DimensionError(f"window shape {np.shape(window)} != (..., {code_matrix.shape[0]})")
-    product = np.matmul(planes.reshape(-1, planes.shape[-1]), code_matrix, out=work)
-    return _complex(product, planes.shape[1:-1] + code_matrix.shape[1:], out)
+    rows = planes.reshape(-1, planes.shape[-1])
+    product = np.matmul(rows, code_matrix,
+                        out=scratch("correlation", (len(rows), *columns), np.float64))
+    return _complex(product, planes.shape[1:-1] + columns, out)
 
 
 # The most entries, (L + V - 1) * V, of a dense matched filter.  Per 64-trial block
@@ -39,7 +47,8 @@ def csms_matched_filter(code, n_elements):
     Chosen by (L, V) alone: the dense (L + V - 1, V) matrix whose column v is
     the code from row v, zero elsewhere, when it has at most
     ``_DENSE_FILTER_ENTRIES`` entries; otherwise the spectrum
-    conj(rfft(code, n_fft)) of the FFT correlation, n_fft as in ``csms_peaks``.
+    conj(rfft(code, n_fft)) of the FFT correlation, n_fft the least length >= L + V - 1
+    with no prime factor above 5.
     """
     code = np.asarray(code, dtype=np.float64)
     rows = code.size + n_elements - 1
@@ -56,43 +65,44 @@ def _dense_filter(code, n_elements):
     return np.ascontiguousarray(windows[::-1].T)
 
 
-def csms_peaks(code, n_elements, stream, out=None, *, matched_filter=None, spectrum=None,
-               work=None):
+def csms_peaks(code, n_elements, stream, out=None, *, matched_filter=None, scratch=new_array):
     """Single-filter correlation peaks recorded at the per-element epochs.
 
     peak[v] = sum_k code[k] * stream[k + v] for v < V = ``n_elements``, 1 <= V
     <= L: one matched filter output, read v samples after the first
     element's peak.  ``stream`` is a complex (..., n) batch, n >= L + V - 1,
-    or its float (2, ..., n) real and imaginary planes, correlated as the
-    rows of one real matrix.  ``matched_filter`` is a dense matrix from
-    ``csms_matched_filter``, applied as one product, or the spectrum
-    conj(rfft(code, n_fft)) of an FFT cross-correlation, the default; n_fft,
-    the smallest length >= n with no prime factor above 5, keeps lags
-    unwrapped.  Optional buffers, each a new array when not given: ``out``
-    for the complex (..., V) peaks, whose layout is kept, ``work`` a float
-    (2 * rows, V) array for the product or (2 * rows, n_fft) for the inverse
-    transform, which may be the planes themselves, and ``spectrum`` a
-    complex (2 * rows, n_fft // 2 + 1) one.
+    or its float (2, ..., n) real and imaginary planes, whose first L + V - 1
+    samples are correlated as the rows of one real matrix by ``matched_filter``,
+    by default ``csms_matched_filter(code, V)``: a dense matrix, applied as one
+    product, or its spectrum, multiplied into the rows' ``rfft`` zero-padded to
+    the same n_fft, which keeps lags unwrapped.  ``out`` receives the complex (..., V)
+    peaks, whose layout is kept, and is a new array when not given.  ``scratch``
+    gives the float (2 * rows, V) product or (2 * rows, n_fft) inverse transform
+    as "correlation", and the complex (2 * rows, n_fft // 2 + 1) "spectrum".
     """
     code = np.asarray(code)
     length = code.size
     if not 1 <= n_elements <= length:
         raise DimensionError(f"need 1 to {length} elements, got {n_elements}")
-    if np.ndim(stream) == 0 or np.shape(stream)[-1] < length + n_elements - 1:
+    width = length + n_elements - 1
+    if np.ndim(stream) == 0 or np.shape(stream)[-1] < width:
         raise DimensionError(
             f"stream of shape {np.shape(stream)} too short for code length {length} "
             f"with {n_elements} elements")
+    if matched_filter is None:
+        matched_filter = csms_matched_filter(code, n_elements)
     planes = _planes(stream)
-    rows = planes.reshape(-1, planes.shape[-1])
-    if matched_filter is not None and matched_filter.ndim == 2:
-        product = np.matmul(rows[:, :matched_filter.shape[0]], matched_filter, out=work)
+    rows = planes.reshape(-1, planes.shape[-1])[:, :width]
+    if matched_filter.ndim == 2:
+        product = np.matmul(rows, matched_filter,
+                            out=scratch("correlation", (len(rows), n_elements), np.float64))
     else:
-        n_fft = _smooth_length(rows.shape[-1])
-        if matched_filter is None:
-            matched_filter = np.conj(np.fft.rfft(code, n_fft))
-        spectrum = np.fft.rfft(rows, n_fft, out=spectrum)
+        n_fft = _smooth_length(width)
+        spectrum = np.fft.rfft(rows, n_fft, out=scratch("spectrum", (len(rows), n_fft // 2 + 1),
+                                                        np.complex128))
         np.multiply(spectrum, matched_filter, out=spectrum)
-        product = np.fft.irfft(spectrum, n_fft, out=work)[:, :n_elements]
+        product = np.fft.irfft(spectrum, n_fft, out=scratch("correlation", (len(rows), n_fft),
+                                                            np.float64))[:, :n_elements]
     # F-ordered: a (T, V) batch's layout fixes the order in which zf_equalize
     # sums its peaks.  A (1, V) batch is also C-ordered, so numpy sums it pairwise.
     return _complex(product, planes.shape[1:-1] + (n_elements,), out, order="F")
@@ -197,7 +207,7 @@ class MismatchReport:
         return self.gain_db.shape[-1]
 
 
-def extract_mismatch(estimates, out=None, work=None):
+def extract_mismatch(estimates, out=None, scratch=new_array):
     """Relative mismatch of every element against the first (reference) element.
 
     Invariant under any global complex scaling of the estimate vector.
@@ -206,8 +216,8 @@ def extract_mismatch(estimates, out=None, work=None):
     phase is the angle of e_v * conj(e_1), in (-180, 180] degrees with -180
     mapped to +180.  The report's gains and phases are the views
     ``out[..., 0, :]`` and ``out[..., 1, :]`` of one float (..., 2, V-1)
-    array; ``work`` is a complex (..., V-1) scratch array.  Each is a new
-    array when not given.
+    array, a new one when not given; ``scratch`` gives the complex (..., V-1)
+    products as "product".
     """
     estimates = np.asarray(estimates)
     if estimates.ndim == 0 or estimates.shape[-1] < 2:
@@ -220,7 +230,8 @@ def extract_mismatch(estimates, out=None, work=None):
     gain_db, phase_deg = out[..., 0, :], out[..., 1, :]
     np.divide(np.abs(estimates[..., 1:], out=gain_db), np.abs(ref), out=gain_db)
     np.multiply(20.0, np.log10(gain_db, out=gain_db), out=gain_db)
-    product = np.multiply(estimates[..., 1:], ref.conj(), out=work)
+    others = estimates[..., 1:]
+    product = np.multiply(others, ref.conj(), out=scratch("product", others.shape, np.complex128))
     # np.angle(product, deg=True), written into phase_deg.
     np.multiply(np.arctan2(product.imag, product.real, out=phase_deg), 180 / np.pi, out=phase_deg)
     phase_deg[phase_deg == -180.0] = 180.0

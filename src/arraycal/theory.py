@@ -219,21 +219,10 @@ def closed_form_point(gains, stats):
 def _gauss_legendre(n):
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Newton's method on the recurrence of P_n from cosine guesses; numpy's
-    ``leggauss`` misses sum w x^2k = 2/(2k+1) at 40 nodes by up to 2.4e-13
-    relative, this rule by 2.3e-15.
+    numpy's rule, imported here as ``_gauss_hermite`` imports its own.
     """
-    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p_prev, p = np.ones(n), x
-        for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        slope = n * (x * p - p_prev) / (x * x - 1.0)
-        step = p / slope
-        x = x - step
-        if np.max(np.abs(step)) < 1e-15:
-            break
-    return x, 2.0 / ((1.0 - x * x) * slope * slope)
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -122,18 +122,19 @@ class TestComplexAwgn:
 
     @pytest.mark.parametrize("shape", [113, (6, 9)])
     def test_planes_are_the_complex_noise_parts(self, shape):
-        # The planes form, scaled in place in the normals or into a strided
-        # view of a padded buffer, holds the complex form's parts byte for byte.
+        # The planes form, drawn in place into a (2, *shape) array and scaled
+        # there, holds the complex form's parts byte for byte; a strided view,
+        # which cannot take the normals, and planes of another shape are refused.
         noise = complex_awgn(np.random.default_rng(9), shape, 0.3)
-        normals = np.empty((2, *noise.shape))
-        planes = complex_awgn(np.random.default_rng(9), shape, 0.3, normals, normals)
-        assert planes is normals
+        planes = np.empty((2, *noise.shape))
+        assert complex_awgn(np.random.default_rng(9), shape, 0.3, planes) is planes
         assert planes[0].tobytes() == noise.real.tobytes()
         assert planes[1].tobytes() == noise.imag.tobytes()
         padded = np.zeros((2, *noise.shape[:-1], noise.shape[-1] + 3))
-        complex_awgn(np.random.default_rng(9), shape, 0.3, padded[..., :-3])
-        assert padded[..., :-3].tobytes() == planes.tobytes()
-        assert not padded[..., -3:].any()
+        with pytest.raises(ValueError):
+            complex_awgn(np.random.default_rng(9), shape, 0.3, padded[..., :-3])
+        with pytest.raises(DimensionError, match="planes"):
+            complex_awgn(np.random.default_rng(9), shape, 0.3, padded)
 
     def test_block_shape_draw_order(self):
         # A (T, n) block draws all T x n real parts in C order, then all imaginary parts.

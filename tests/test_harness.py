@@ -561,6 +561,18 @@ class TestWorkspace:
     """Every block runs in one process-wide workspace, and gives what its model
     and index alone give."""
 
+    def test_each_call_gets_the_dtype_it_asks_for(self):
+        # The harness and the stages share one namespace of names: a name's
+        # bytes are reused under whatever dtype and shape a call asks for.
+        ws = harness._Workspace()
+        first = ws.array("x", (4,), np.float64)
+        again = ws.array("x", (2,), np.complex128)
+        assert (again.dtype, again.shape) == (np.complex128, (2,))
+        assert np.shares_memory(first, again)
+        grown = ws.array("x", (3, 2), np.complex128)
+        assert (grown.dtype, grown.shape) == (np.complex128, (3, 2)) and grown.flags.c_contiguous
+        assert ws.array("x", (6,), np.float64).dtype == np.float64
+
     def test_report_does_not_depend_on_earlier_runs(self):
         # The workspace keeps a larger block's data past a smaller block's
         # arrays: either order reads as each scenario does in a fresh interpreter.

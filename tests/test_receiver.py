@@ -79,8 +79,10 @@ class TestCsmsPeaks:
                                    rtol=0, atol=1e-13)
 
     def test_equals_direct_sum_at_every_stream_length(self, monkeypatch):
-        # Any FFT length >= the stream length keeps the lags unwrapped; the one
-        # used is the least such length with no prime factor above 5.
+        # The first L + V - 1 samples are correlated, whatever the stream's
+        # length.  Any FFT length >= L + V - 1 keeps the lags unwrapped; the one
+        # used with a spectrum filter is the least such length with no prime
+        # factor above 5.  At these sizes the default filter is dense, no FFT.
         def five_smooth(m):
             for p in (2, 3, 5):
                 while m % p == 0:
@@ -96,13 +98,16 @@ class TestCsmsPeaks:
             code = msequence_code(length)
             for n in range(length, 301):
                 n_elements = min(length, n - length + 1)
+                least = next(m for m in itertools.count(length + n_elements - 1) if five_smooth(m))
+                spectrum = np.conj(fft(code, least))
                 stream = complex_normal(rng, n)
                 direct = [code @ stream[q:q + length] for q in range(n_elements)]
                 lengths.clear()
-                np.testing.assert_allclose(csms_peaks(code, n_elements, stream), direct,
-                                           rtol=0, atol=1e-12)
-                least = next(m for m in itertools.count(n) if five_smooth(m))
-                assert lengths == [least, least], (length, n)
+                for matched in (None, spectrum):
+                    np.testing.assert_allclose(
+                        csms_peaks(code, n_elements, stream, matched_filter=matched), direct,
+                        rtol=0, atol=1e-12)
+                assert lengths == [least], (length, n)
 
     def test_linearity(self):
         code = msequence_code(15)
@@ -156,6 +161,21 @@ class TestMatchedFilters:
         planes = np.stack((stream.real, stream.imag))
         np.testing.assert_array_equal(csms_peaks(code, n_elements, stream, matched_filter=matched),
                                       csms_peaks(code, n_elements, planes, matched_filter=matched))
+
+    @pytest.mark.parametrize("length, n_elements", [(255, 213), (255, 214), (511, 151),
+                                                    (511, 152)])
+    def test_default_is_the_chain_filter(self, length, n_elements):
+        # The public call and the harness's chain apply one filter, on both sides
+        # of the switch; a longer stream gives the peaks of its first L + V - 1 samples.
+        code = msequence_code(length)
+        rows = length + n_elements - 1
+        planes = np.random.default_rng(length + n_elements).standard_normal((2, 5, rows + 9))
+        matched = csms_matched_filter(code, n_elements)
+        chain = csms_peaks(code, n_elements, planes[..., :rows].copy(), matched_filter=matched)
+        for got in (csms_peaks(code, n_elements, planes[..., :rows].copy()),
+                    csms_peaks(code, n_elements, planes),
+                    csms_peaks(code, n_elements, planes, matched_filter=matched)):
+            assert got.tobytes() == chain.tobytes()
 
     def test_dense_filter_is_the_shifted_code(self):
         code = msequence_code(7)

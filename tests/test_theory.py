@@ -2,19 +2,20 @@ import math
 import os
 import subprocess
 import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from scipy.special import exp1
 
 import arraycal
-from arraycal.channel import ElementGains, complex_awgn
+from arraycal.channel import ElementGains, complex_awgn, csms_clean_stream
 from arraycal.codes import msequence_code
 from arraycal.errors import DimensionError, NegativeRadicand
 from arraycal import theory
 from arraycal.harness import (PointModel, ScenarioConfig, figure_configs, run_scenario,
                               scenario_points)
-from arraycal.receiver import ZfEqualizer, csms_peaks, wrap_degrees
+from arraycal.receiver import ZfEqualizer, csms_peaks, oma_estimate, wrap_degrees, zf_equalize
 from arraycal.theory import (NoiseStats, average_rmse, closed_form_point,
                              csms_gain_noise_stats, csms_peak_noise_cov, gain_rmse_theory,
                              log_ratio_moments, oma_noise_stats, phase_rmse_theory,
@@ -172,6 +173,55 @@ class TestCsmsGainNoiseStats:
             outputs.append(child.stdout)
         assert outputs[0].count("\n") == 8
         assert outputs[0] == outputs[1]
+
+
+class TestReceiverErrorsMatchNoiseStats:
+    """The receiver's raw estimates are the truth plus noise of the point's
+    ``NoiseStats``: each element's error variance, and its error's correlation
+    with the reference element's, agree with the model to Monte-Carlo error."""
+
+    # (scheme, L, V, trials) at 30 dB: OMA, CSMS at V < L, and V = L on both
+    # correlator forms (127/127 dense, 511/511 FFT).
+    CASES = [("OMA", 64, 50, 8000), ("CSMS", 127, 127, 8000), ("CSMS", 255, 50, 8000),
+             ("CSMS", 511, 511, 2000)]
+
+    @staticmethod
+    def errors(model, trials, rng, block=500):
+        """Raw OMA or ZF estimates minus the true gains, block by block, from the
+        public stages."""
+        w, v = model.gains.w, model.point.n_elements
+        oma = model.point.scheme == "OMA"
+        clean = model.code @ w if oma else csms_clean_stream(model.code, w)
+        for start in range(0, trials, block):
+            noise = complex_awgn(rng, (min(block, trials - start), clean.size), model.noise_var)
+            if oma:
+                estimates = oma_estimate(model.code, clean + noise)
+            else:
+                estimates = zf_equalize(csms_peaks(model.code, v, clean + noise), model.eq)
+            yield estimates - w
+
+    def test_variances_and_reference_correlations(self):
+        z = []
+        for scheme, length, v, trials in self.CASES:
+            cfg = ScenarioConfig(scheme=scheme, code_length=length, n_elements=v,
+                                 snr_grid_db=(30.0,), trials=trials, master_seed=1729)
+            model = PointModel.build(cfg, scenario_points(cfg)[0])
+            stats = model.noise_stats()
+            power, cross = np.zeros(v), np.zeros(v - 1, complex)
+            for e in self.errors(model, trials, np.random.default_rng(1729)):
+                power += (np.abs(e) ** 2).sum(axis=0)
+                cross += (e[:, 1:] * e[:, :1].conj()).sum(axis=0)
+            power, cross = power / trials, cross / trials
+            # |n|^2 is exponential, so its mean over T trials has sd mean / sqrt(T).
+            z.append((power / stats.variances - 1.0) * math.sqrt(trials))
+            rho, r = cross / np.sqrt(power[1:] * power[0]), stats.correlations
+            # A real correlation r: Re rho has sd (1 - r^2) / sqrt(2T), Im rho sqrt((1 - r^2) / 2T).
+            z.append((rho.real - r) / ((1.0 - r**2) / math.sqrt(2 * trials)))
+            z.append(rho.imag / np.sqrt((1.0 - r**2) / (2 * trials)))
+        z = np.concatenate(z)
+        # Bonferroni: every |z| stays below it with probability at least 99%.
+        bound = NormalDist().inv_cdf(1.0 - 0.005 / z.size)
+        assert np.max(np.abs(z)) < bound, (np.max(np.abs(z)), bound, z.size)
 
 
 def mc_gain_phase_rmse(amp, phases, cov, trials, seed):
