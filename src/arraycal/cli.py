@@ -65,14 +65,18 @@ def _cmd_theory_eval(args):
     stats = model.noise_stats()
     exact = accuracy.theory_point(model.gains, stats)
     print(f"scheme={args.scheme} V={args.elements} L={args.length} EvN0={args.ev_n0_db} dB")
+    outside = "outside the high-SNR expansion's regime"
     try:
         point = accuracy.closed_form_point(model.gains, stats)
-        closed = (f"{accuracy.average_rmse(point.gain_rmse_db):.6g} dB",
-                  f"{accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
     except NegativeRadicand:
-        closed = ("outside the high-SNR expansion's regime",) * 2
-    print(f"gain RMSE (element-averaged): {closed[0]}")
-    print(f"phase RMSE (element-averaged): {closed[1]}")
+        gain = phase = outside
+    else:
+        gain = f"{accuracy.average_rmse(point.gain_rmse_db):.6g} dB"
+        # An error in (-180, 180] deg has no RMSE above 180 deg.
+        phase = (outside if np.max(point.phase_rmse_deg) > 180.0
+                 else f"{accuracy.average_rmse(point.phase_rmse_deg):.6g} deg")
+    print(f"gain RMSE (element-averaged): {gain}")
+    print(f"phase RMSE (element-averaged): {phase}")
     # The theory columns of a report, whose repr they print.
     print(f"exact gain RMSE (element-averaged): {accuracy.average_rmse(exact.gain_rmse_db)!r} dB")
     print(f"exact phase RMSE (element-averaged): "

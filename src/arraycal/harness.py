@@ -34,15 +34,17 @@ adds the clean signal's real and imaginary planes to them, and correlates
 both with one real matrix: OMA's Walsh columns, or CSMS's matched filter,
 the dense (L + V - 1, V) matrix of shifted code copies or an FFT
 correlation by ``receiver.csms_matched_filter``'s fixed rule of (L, V),
-which ``csms_peaks`` also applies by default.  Block size
-is therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
-bytes, and so does the trial count whenever it changes the size of the
-last, partial block.  Neither trials nor blocks depend on the worker
-count.  A point's squared errors fill one (T, 2, V-1) buffer, trial t at
-row t, and are summed trial by trial in trial order, for both schemes and
-phase policies and at every element count.  Each column's standard error is
-the linearized one, sd(y) / sqrt(T) with ddof 1 of the per-trial
-y_t = sum_v sq_{t,v} / (2 (V-1) RMSE_v).
+which ``csms_peaks`` also applies by default, into C-ordered (T, V)
+estimates; CSMS's equalizer sums each trial's peaks as one contiguous
+row, the same in a block as alone.  Block size is therefore part of the
+contract: changing ``BLOCK_TRIALS`` changes the bytes, and so does the
+trial count whenever it changes the size of the last, partial block.
+Neither trials nor blocks depend on the worker count.  A point's squared
+errors fill one (T, 2, V-1) buffer, trial t at row t, and are summed trial
+by trial in trial order, for both schemes and phase policies and at every
+element count.  Each column's standard error is the linearized one,
+sd(y) / sqrt(T) with ddof 1 of the per-trial y_t = sum_v sq_{t,v} /
+(2 (V-1) RMSE_v).
 """
 
 import csv
@@ -345,8 +347,8 @@ def _trial_chunk(model, block, out=None):
       the readout's (T, V-1);
     - the arrays passed from stage to stage: float64 "phases" (T, V),
       "weight_planes" (2, T, V), "clean" and "planes" (2, T, n); complex128
-      "weights" (T, V), the de-rotation, "peaks" (V, T), "estimates" and
-      "derotated" (T, V).
+      "weights" (T, V), the de-rotation, "peaks" (T, V), the correlator's
+      output, which CSMS equalizes in place, and "derotated" (T, V).
     """
     point, v = model.point, model.point.n_elements
     size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
@@ -364,15 +366,12 @@ def _trial_chunk(model, block, out=None):
         planes = scratch("planes", (2, size, clean.shape[-1]), np.float64)
         complex_awgn(rng, planes.shape[1:], model.noise_var, planes)
         np.add(planes, clean, out=planes)
-        estimates = scratch("estimates", (size, v), np.complex128)
         if point.scheme == "OMA":
-            oma_estimate(model.code, planes, estimates, scratch)
+            estimates = oma_estimate(model.code, planes, scratch)
         else:
-            # F-ordered (T, V) peaks, as csms_peaks allocates them: their layout
-            # fixes the order in which zf_equalize sums them.
-            peaks = csms_peaks(model.code, v, planes, scratch("peaks", (v, size), np.complex128).T,
-                               matched_filter=model.matched_filter, scratch=scratch)
-            zf_equalize(peaks, model.eq, estimates)
+            estimates = csms_peaks(model.code, v, planes, matched_filter=model.matched_filter,
+                                   scratch=scratch)
+            zf_equalize(estimates, model.eq, estimates)
         derotated = np.multiply(estimates, derotate,
                                 out=scratch("derotated", (size, v), np.complex128))
         extract_mismatch(derotated, out, scratch)

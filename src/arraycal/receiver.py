@@ -12,25 +12,21 @@ def new_array(name, shape, dtype):
     return np.empty(shape, dtype)
 
 
-def oma_estimate(code_matrix, window, out=None, scratch=new_array):
+def oma_estimate(code_matrix, window, scratch=new_array):
     """Per-element gain estimates from one (L,) window or a (..., L) batch.
 
     With orthonormal columns the correlation peaks C.T @ window are
     already unbiased gain estimates; no equalizer is needed.  ``window`` is
-    complex or its float (2, ..., L) real and imaginary planes, which go
-    through one real product with C into ``scratch("correlation")``, a float
-    (2 * rows, V) array; its halves become the complex (..., V) estimates in
-    ``out``, a new array when not given.
+    complex or its float (2, ..., L) real and imaginary planes, which
+    ``_correlate`` takes through one real product with the (L, V) matrix C
+    into the complex (..., V) estimates, C-ordered in ``scratch("peaks")``.
     """
     code_matrix = np.asarray(code_matrix)
-    columns = code_matrix.shape[1:]
     planes = _planes(window)
-    if planes.shape[-1:] != code_matrix.shape[:1]:
-        raise DimensionError(f"window shape {np.shape(window)} != (..., {code_matrix.shape[0]})")
-    rows = planes.reshape(-1, planes.shape[-1])
-    product = np.matmul(rows, code_matrix,
-                        out=scratch("correlation", (len(rows), *columns), np.float64))
-    return _complex(product, planes.shape[1:-1] + columns, out)
+    if code_matrix.ndim != 2 or planes.shape[-1:] != code_matrix.shape[:1]:
+        raise DimensionError(f"need an (L, V) code matrix and an (..., L) window, got shapes "
+                             f"{code_matrix.shape} and {np.shape(window)}")
+    return _correlate(planes, *code_matrix.shape, code_matrix, scratch)
 
 
 # The most entries, (L + V - 1) * V, of a dense matched filter.  Per 64-trial block
@@ -65,20 +61,16 @@ def _dense_filter(code, n_elements):
     return np.ascontiguousarray(windows[::-1].T)
 
 
-def csms_peaks(code, n_elements, stream, out=None, *, matched_filter=None, scratch=new_array):
+def csms_peaks(code, n_elements, stream, *, matched_filter=None, scratch=new_array):
     """Single-filter correlation peaks recorded at the per-element epochs.
 
     peak[v] = sum_k code[k] * stream[k + v] for v < V = ``n_elements``, 1 <= V
     <= L: one matched filter output, read v samples after the first
     element's peak.  ``stream`` is a complex (..., n) batch, n >= L + V - 1,
     or its float (2, ..., n) real and imaginary planes, whose first L + V - 1
-    samples are correlated as the rows of one real matrix by ``matched_filter``,
-    by default ``csms_matched_filter(code, V)``: a dense matrix, applied as one
-    product, or its spectrum, multiplied into the rows' ``rfft`` zero-padded to
-    the same n_fft, which keeps lags unwrapped.  ``out`` receives the complex (..., V)
-    peaks, whose layout is kept, and is a new array when not given.  ``scratch``
-    gives the float (2 * rows, V) product or (2 * rows, n_fft) inverse transform
-    as "correlation", and the complex (2 * rows, n_fft // 2 + 1) "spectrum".
+    samples ``_correlate`` takes through ``matched_filter``, by default
+    ``csms_matched_filter(code, V)``, into the complex (..., V) peaks,
+    C-ordered in ``scratch("peaks")``.
     """
     code = np.asarray(code)
     length = code.size
@@ -91,21 +83,7 @@ def csms_peaks(code, n_elements, stream, out=None, *, matched_filter=None, scrat
             f"with {n_elements} elements")
     if matched_filter is None:
         matched_filter = csms_matched_filter(code, n_elements)
-    planes = _planes(stream)
-    rows = planes.reshape(-1, planes.shape[-1])[:, :width]
-    if matched_filter.ndim == 2:
-        product = np.matmul(rows, matched_filter,
-                            out=scratch("correlation", (len(rows), n_elements), np.float64))
-    else:
-        n_fft = _smooth_length(width)
-        spectrum = np.fft.rfft(rows, n_fft, out=scratch("spectrum", (len(rows), n_fft // 2 + 1),
-                                                        np.complex128))
-        np.multiply(spectrum, matched_filter, out=spectrum)
-        product = np.fft.irfft(spectrum, n_fft, out=scratch("correlation", (len(rows), n_fft),
-                                                            np.float64))[:, :n_elements]
-    # F-ordered: a (T, V) batch's layout fixes the order in which zf_equalize
-    # sums its peaks.  A (1, V) batch is also C-ordered, so numpy sums it pairwise.
-    return _complex(product, planes.shape[1:-1] + (n_elements,), out, order="F")
+    return _correlate(_planes(stream), width, n_elements, matched_filter, scratch)
 
 
 def _planes(stream):
@@ -119,15 +97,29 @@ def _planes(stream):
     return stream
 
 
-def _complex(product, shape, out=None, order="C"):
-    """The complex array of ``shape``, ``out`` when given, whose real and imaginary
-    parts are the two halves of the float (2 * rows, V) ``product``."""
-    halves = product.reshape(2, *shape)
-    if out is None:
-        out = np.empty(shape, np.complex128, order=order)
-    out.real = halves[0]
-    out.imag = halves[1]
-    return out
+def _correlate(planes, width, n_peaks, matched_filter, scratch):
+    """The complex (..., V) correlation, V = ``n_peaks``, of the first ``width`` samples of
+    float (2, ..., n) ``planes``, whose rows are correlated as one real matrix: one product
+    with a dense (width, V) ``matched_filter``, or a spectrum multiplied into their ``rfft``,
+    zero-padded to ``_smooth_length(width)`` to keep lags unwrapped.  ``scratch`` gives the
+    float "correlation" and complex "spectrum"; the correlation's two halves are the real
+    and imaginary parts of the C-ordered result, ``scratch("peaks")``.
+    """
+    rows = planes.reshape(-1, planes.shape[-1])[:, :width]
+    if matched_filter.ndim == 2:
+        product = np.matmul(rows, matched_filter,
+                            out=scratch("correlation", (len(rows), n_peaks), np.float64))
+    else:
+        n_fft = _smooth_length(width)
+        spectrum = np.fft.rfft(rows, n_fft, out=scratch("spectrum", (len(rows), n_fft // 2 + 1),
+                                                        np.complex128))
+        np.multiply(spectrum, matched_filter, out=spectrum)
+        product = np.fft.irfft(spectrum, n_fft, out=scratch("correlation", (len(rows), n_fft),
+                                                            np.float64))[:, :n_peaks]
+    halves = product.reshape(2, *planes.shape[1:-1], n_peaks)
+    peaks = scratch("peaks", halves.shape[1:], np.complex128)
+    peaks.real, peaks.imag = halves
+    return peaks
 
 
 def _smooth_length(n):
@@ -180,7 +172,9 @@ def zf_equalize(peaks, eq, out=None):
 
     Uses the two-coefficient structure directly: out_v = cross * sum(peaks)
     + (diag - cross) * peak_v, over the last axis of a (..., V) batch.
-    ``out``, if given, receives the estimates.
+    ``out``, if given, receives the estimates; it may be ``peaks`` itself.
+    numpy sums each contiguous row of a C-ordered batch as it sums that row
+    alone, so such a batch equalizes byte for byte as its rows do one by one.
     """
     peaks = np.asarray(peaks)
     if peaks.shape[-1:] != (eq.n_elements,):

@@ -96,13 +96,14 @@ class TestTheoryEval:
         assert take(out_csms) > take(out_oma)
 
     def test_exact_lines_are_the_report_theory_columns(self, capsys):
-        # Far outside its regime the closed form prints a phase RMSE of 4389 deg;
-        # the exact model stays a possible angle, the one a report prints.
+        # Far outside its regime the closed form's phase RMSE would be 4389 deg,
+        # so it prints as outside it; the exact model stays a possible angle,
+        # the one a report prints.
         code, out, _ = run_cli(capsys, "theory", "eval", "--scheme", "CSMS",
                                "--elements", "63", "--length", "63", "--ev-n0-db", "-20")
         assert code == 0
         lines = dict(line.split(": ", 1) for line in out.splitlines()[1:])
-        assert float(lines["phase RMSE (element-averaged)"].split()[0]) > 180.0
+        assert lines["phase RMSE (element-averaged)"] == "outside the high-SNR expansion's regime"
         gain = lines["exact gain RMSE (element-averaged)"].split()
         phase = lines["exact phase RMSE (element-averaged)"].split()
         assert gain[1] == "dB" and phase[1] == "deg"
@@ -128,6 +129,28 @@ class TestTheoryEval:
         row = run_scenario(cfg).rows[0]
         assert lines["exact gain RMSE (element-averaged)"] == f"{row.gain_rmse_theory_db!r} dB"
         assert lines["exact phase RMSE (element-averaged)"] == f"{row.phase_rmse_theory_deg!r} deg"
+
+    @pytest.mark.parametrize("ev_n0_db, gain", [("-20", "9.90377 dB"), ("-10", "9.49887 dB")])
+    def test_closed_form_phase_above_180_deg_is_outside_its_regime(self, capsys, ev_n0_db, gain):
+        # The closed form's phase RMSE reads 572.958 deg at -20 dB and 181.185 deg
+        # at -10 dB, which no error in (-180, 180] deg has; its gain line stays.
+        code, out, err = run_cli(capsys, "theory", "eval", "--scheme", "OMA",
+                                 "--elements", "50", "--length", "64", "--ev-n0-db", ev_n0_db)
+        assert code == 0 and err == ""
+        lines = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+        assert lines["gain RMSE (element-averaged)"] == gain
+        assert lines["phase RMSE (element-averaged)"] == "outside the high-SNR expansion's regime"
+        assert float(lines["exact phase RMSE (element-averaged)"].split()[0]) <= 180.0
+
+    def test_in_regime_output_is_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "eval", "--scheme", "OMA",
+                                 "--elements", "50", "--length", "64", "--ev-n0-db", "30")
+        assert code == 0 and err == ""
+        assert out == ("scheme=OMA V=50 L=64 EvN0=30.0 dB\n"
+                       "gain RMSE (element-averaged): 0.274637 dB\n"
+                       "phase RMSE (element-averaged): 1.81185 deg\n"
+                       "exact gain RMSE (element-averaged): 0.274740698757994 dB\n"
+                       "exact phase RMSE (element-averaged): 1.8123051472266887 deg\n")
 
     @pytest.mark.parametrize("argv", [
         ["--scheme", "OMA", "--elements", "8", "--length", "63"],

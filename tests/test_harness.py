@@ -19,12 +19,13 @@ import pytest
 import arraycal
 from arraycal import harness
 from arraycal.channel import LinkBudget
-from arraycal.codes import msequence_code
+from arraycal.codes import msequence_code, walsh_matrix
 from arraycal.errors import (ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial,
                             UnknownFigure)
 from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
                               figure_configs, reproduce_figure, rng_stream, run_scenario,
                               run_trial, scenario_points)
+from arraycal.receiver import csms_peaks, new_array, oma_estimate
 from oracles import build_correlation_matrix, two_angle_mismatch
 
 try:
@@ -429,7 +430,8 @@ class TestSingleChain:
     def test_run_trial_reproduces_report_row(self, cfg):
         # Every column sums each element's squared errors trial by trial, in
         # trial order, also across blocks and with one non-reference element,
-        # and a one-trial last block, whose peaks numpy sums pairwise.  The
+        # and in a one-trial last block, whose peaks are equalized as any
+        # block's rows are, each as one contiguous row.  The
         # standard error is the linearized one: each trial's squared errors
         # weighted by 1 / (2 (V-1) RMSE_v), an element of RMSE 0 by 0.
         point = scenario_points(cfg)[0]
@@ -572,6 +574,23 @@ class TestWorkspace:
         grown = ws.array("x", (3, 2), np.complex128)
         assert (grown.dtype, grown.shape) == (np.complex128, (3, 2)) and grown.flags.c_contiguous
         assert ws.array("x", (6,), np.float64).dtype == np.float64
+
+    @pytest.mark.parametrize("width, correlate", [
+        (64, lambda planes, scratch: oma_estimate(walsh_matrix(64, 50), planes, scratch)),
+        (63 + 49, lambda planes, scratch: csms_peaks(msequence_code(63), 50, planes,
+                                                     scratch=scratch)),
+        (511 + 407, lambda planes, scratch: csms_peaks(msequence_code(511), 408, planes,
+                                                       scratch=scratch)),
+    ], ids=["OMA", "CSMS-dense", "CSMS-fft"])
+    def test_correlators_return_the_workspace_peaks(self, width, correlate):
+        # The receive chain takes its estimates, C-ordered, from the "peaks"
+        # name that the correlator writes, and equalizes them there.
+        ws = harness._Workspace()
+        planes = np.random.default_rng(7).standard_normal((2, 3, width))
+        got = correlate(planes, ws.array)
+        assert got.shape[0] == 3 and got.flags.c_contiguous
+        assert np.shares_memory(got, ws.array("peaks", got.shape, np.complex128))
+        assert got.tobytes() == correlate(planes, new_array).tobytes()
 
     def test_report_does_not_depend_on_earlier_runs(self):
         # The workspace keeps a larger block's data past a smaller block's
@@ -1349,10 +1368,17 @@ def test_grid_point_is_plain_data():
 
 NO_SCIPY_SCRIPT = """
 import sys
-from arraycal import ScenarioConfig, run_scenario
+from arraycal import ScenarioConfig, run_scenario, theory_point
+from arraycal.harness import PointModel, scenario_points
 for scheme, length in (("OMA", 64), ("CSMS", 63)):
     run_scenario(ScenarioConfig(scheme=scheme, code_length=length, n_elements=4,
                                 snr_grid_db=(20.0,), trials=8))
+cfg = ScenarioConfig(scheme="CSMS", code_length=63, n_elements=4, snr_grid_db=(10.0, 20.0),
+                     trials=8)
+for workers in (1, 2):
+    run_scenario(cfg, workers=workers)
+model = PointModel.build(cfg, scenario_points(cfg)[0])
+theory_point(model.gains, model.noise_stats())
 assert "scipy" not in sys.modules
 """
 
@@ -1372,6 +1398,16 @@ def _run_child(script, *args, **env):
 
 
 def test_scenarios_run_without_scipy():
-    # A child interpreter, so that no module this test process loaded counts.
+    # A child interpreter, so that no module this test process loaded counts:
+    # the library needs numpy alone, in process, on the pool and in the theory.
     child = _run_child(NO_SCIPY_SCRIPT)
     assert child.returncode == 0, child.stderr
+
+
+def test_readme_quick_start_runs():
+    # The README's first python block, run as a reader would paste it.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    child = _run_child(block)
+    assert child.returncode == 0, child.stderr
+    assert ",".join(CSV_COLUMNS) in child.stdout.splitlines()

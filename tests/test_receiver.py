@@ -1,6 +1,4 @@
-import functools
 import itertools
-import operator
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ class TestOmaEstimate:
     def test_window_length_checked(self):
         with pytest.raises(DimensionError):
             oma_estimate(walsh_matrix(4, 2), np.zeros(3, dtype=complex))
+        with pytest.raises(DimensionError, match="code matrix"):
+            oma_estimate(walsh_matrix(4, 1)[:, 0], np.zeros(4, dtype=complex))
 
     def test_planes_give_the_complex_product(self):
         # One real product of both planes with the Walsh columns.
@@ -382,17 +382,19 @@ class TestBatchAxes:
         self.assert_rows_match(csms_peaks(code, 50, streams),
                                [csms_peaks(code, 50, s) for s in streams])
 
-    def test_batched_csms_peaks_are_summed_in_element_order(self):
-        # The report bytes rest on this: zf_equalize adds the 50 peaks of each
-        # row one after another, not pairwise as it would a C-ordered batch.
-        # A one-trial block is C-ordered too and is summed pairwise;
-        # test_run_trial_reproduces_report_row pins the report across one.
+    def test_batched_csms_peaks_equalize_as_their_rows(self):
+        # The report bytes rest on this: csms_peaks returns C-ordered rows, and
+        # zf_equalize sums each as it sums that row alone, so a block of any
+        # size, one trial included, equalizes as its trials do one by one,
+        # also in place, as the receive chain equalizes.
         code = msequence_code(63)
         eq = ZfEqualizer.for_dimensions(63, 50)
-        peaks = csms_peaks(code, 50, complex_normal(np.random.default_rng(44), 64, 63 + 49))
-        total = functools.reduce(operator.add, peaks.T)[:, None]
-        expected = eq.cross_coeff * total + (eq.diag_coeff - eq.cross_coeff) * peaks
-        assert zf_equalize(peaks, eq).tobytes() == expected.tobytes()
+        streams = complex_normal(np.random.default_rng(44), 64, 63 + 49)
+        for rows in (64, 2, 1):
+            peaks = csms_peaks(code, 50, streams[:rows])
+            expected = np.stack([zf_equalize(p, eq) for p in peaks]).tobytes()
+            assert zf_equalize(peaks, eq).tobytes() == expected
+            assert zf_equalize(peaks, eq, peaks).tobytes() == expected
 
     def test_zf_equalize(self):
         eq = ZfEqualizer.for_dimensions(63, 50)
