@@ -5,15 +5,19 @@ the theory and one receive chain.  A point's trials are cut into fixed
 blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
 batched pass through that chain, in arrays of one workspace that the
 process keeps by name and grows to its largest block; every stage draws
-its own temporaries from it, through its ``scratch`` argument.  A grid
-point is the only task of a scenario call: the task that owns it builds
-its model, predicts, runs its blocks and reduces them to its report row.
-One runner serves both ``run_scenario`` and ``reproduce_figure``: it runs
-the point task for every (config, point) pair of the call, in report order
-in process when the call has one task or one worker, otherwise on the
-process's worker pool, which gets the tasks longest first and hands the
-rows back in report order.  That pool is forked once per process, by the first pooled call, with
-``min(workers, CPU count)`` workers of one BLAS thread each; later calls
+its own temporaries from it, through its ``scratch`` argument.  A task is
+a group of one config's points (``_group_rows``): it builds their models
+and predictions, then runs the group block by block.  Each block's noise
+is drawn once and received by every point of the group, and each point's
+squared errors are reduced into its running sums before the next block,
+so a point holds O(V + T) floats, not its (T, V) errors.  One runner
+serves both ``run_scenario`` and ``reproduce_figure``: with one worker it
+runs each config as one task, in process in report order; otherwise it
+splits each config into ``min(points, 2 * workers)`` groups of about equal
+cost, and the process's worker pool gets them longest first and hands the
+rows back in report order.  That pool is forked once per process, by the
+first pooled call, with ``min(workers, CPU count)`` workers of one BLAS
+thread each; later calls
 of the same size reuse it, and its workers are joined at interpreter exit
 or exit by themselves when the calling process dies.  A process runs one
 call at a time, under one re-entrant lock that a nested call re-enters;
@@ -22,29 +26,36 @@ gives its previous count back afterwards.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  Every generator is numpy's SFC64 bit generator seeded by
-an entropy list.  The per-point channel phases come from the one seeded
-by ``[master_seed, point_index, 0]``.  Block b (trials
-``b * BLOCK_TRIALS`` up to the next block or the last trial, T of them)
-draws from one generator seeded by ``[master_seed, point_index, 1 + b]``:
-in per-trial phase mode first the block's (T, V) phases, uniform on
-[0, 2 pi), row t for trial ``b * BLOCK_TRIALS + t``; then its (T, n)
-noise, all T x n real parts before all T x n imaginary parts.  The receive
-chain draws the noise straight into one array of those two real planes,
-adds the clean signal's real and imaginary planes to them, and correlates
-both with one real matrix: OMA's Walsh columns, or CSMS's matched filter,
-the dense (L + V - 1, V) matrix of shifted code copies or an FFT
-correlation by ``receiver.csms_matched_filter``'s fixed rule of (L, V),
-which ``csms_peaks`` also applies by default, into C-ordered (T, V)
-estimates; CSMS's equalizer sums each trial's peaks as one contiguous
-row, the same in a block as alone.  Block size is therefore part of the
-contract: changing ``BLOCK_TRIALS`` changes the bytes, and so does the
-trial count whenever it changes the size of the last, partial block.
-Neither trials nor blocks depend on the worker count.  A point's squared
-errors fill one (T, 2, V-1) buffer, trial t at row t, and are summed trial
-by trial in trial order, for both schemes and phase policies and at every
-element count.  Each column's standard error is the linearized one,
-sd(y) / sqrt(T) with ddof 1 of the per-trial y_t = sum_v sq_{t,v} /
-(2 (V-1) RMSE_v).
+``rng_stream`` from the master seed and a key; below 2^32 the entropy is
+the list ``[master_seed, *key]``.  The per-point channel phases come from
+key ``(point_index, 0)``.  Block b (trials ``b * BLOCK_TRIALS`` up to the
+next block or the last trial, T of them) has one noise block for every
+point of code length L: key ``(0, 0, L, 1 + b)`` draws its (2, T, W) unit
+normals in one ``complex_awgn`` call, all T x W real parts before all
+T x W imaginary parts, with W = L (OMA) or 2L - 1 (CSMS), the longest
+receive stream of any V.  A point scales the first n = L (OMA) or L + V - 1
+(CSMS) samples of each row by sqrt(noise_var / 2) into one (2, T, n)
+planes array, so its noise depends on (seed, L, b) alone, not on the
+other points of its grid, its group or the worker count.  In per-trial
+phase mode key ``(point_index, 1 + b)`` draws the block's (T, V) phases,
+uniform on [0, 2 pi), row t for trial ``b * BLOCK_TRIALS + t``.  The
+chain adds the clean signal's real and imaginary planes to the noise
+planes and correlates both with one real matrix: OMA's Walsh columns, or
+CSMS's matched filter, the dense (L + V - 1, V) matrix of shifted code
+copies or an FFT correlation by ``receiver.csms_matched_filter``'s fixed
+rule of (L, V), which ``csms_peaks`` also applies by default, into
+C-ordered (T, V) estimates; CSMS's equalizer sums each trial's peaks as
+one contiguous row, the same in a block as alone.  Block size is
+therefore part of the contract: changing ``BLOCK_TRIALS`` changes the
+bytes, and so does the trial count whenever it changes the size of the
+last, partial block.  A point's squared errors are summed trial by trial
+in trial order, for both schemes and phase policies and at every element
+count: the running total and a block's (T, 2, V-1) rows are summed as one
+array, the total first.  Each column's standard error is the linearized
+one, (mean r0 / mean RMSE) * sd(y) / sqrt(T) with ddof 1, of the per-trial
+y_t = sum_v sq_{t,v} / (2 (V-1) r0_v), r0_v the first block's RMSE of
+element v, or weight 0 where r0_v is 0.  Up to one block of trials r0 is
+the RMSE and the scale 1.
 """
 
 import csv
@@ -136,6 +147,8 @@ class ScenarioConfig:
                               "and rejected with snr_grid_db")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not 0 <= self.master_seed < 2**64:  # rng_stream would alias it with a 64-bit seed
+            raise ConfigError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         if self.phase_policy not in PHASE_POLICIES:
             raise ConfigError(f"phase_policy must be one of {PHASE_POLICIES}")
         if not (self.snr_grid_db or self.v_grid):
@@ -227,9 +240,20 @@ def scenario_points(cfg):
 def rng_stream(master_seed, *key):
     """Deterministic per-purpose generator: an SFC64 bit generator, which draws
     normals faster than numpy's default PCG64, whose entropy is the seed plus
-    the key path."""
-    return np.random.Generator(np.random.SFC64([int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-                                                *(int(k) for k in key)]))
+    the key path.
+
+    A seed below 2^32 is one 32-bit word, and the entropy is the words
+    ``[seed, *key]``.  A larger 64-bit seed is two words, so that list would
+    alias a smaller seed's (``2**32 + 5`` with key (7, 0) would draw what 5
+    draws with (1, 7)); it seeds numpy's spawned-child form instead, whose
+    words are the seed's, padded with zeros to four, then the key's.  A key
+    of k words then gives a small seed 1 + k words and a large one 4 + k, so
+    keys of one length give every seed its own words, and the harness's
+    keys of 2 and 4 words never meet.
+    """
+    seed, key = int(master_seed) & 0xFFFFFFFFFFFFFFFF, tuple(int(k) for k in key)
+    entropy = [seed, *key] if seed >> 32 == 0 else np.random.SeedSequence(seed, spawn_key=key)
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 @dataclass(frozen=True)
@@ -254,14 +278,20 @@ class PointModel:
     signal: tuple | None
 
     @classmethod
-    def build(cls, cfg, point):
+    def build(cls, cfg, point, receivers=None):
+        """The model of ``point``, a grid point of ``cfg``.  ``receivers``, a dict that the
+        caller keeps for points of one config, shares the code, equalizer and matched filter
+        of each element count between them."""
         v, l = point.n_elements, point.code_length
         gains = ElementGains.with_random_phases(v, rng_stream(cfg.master_seed, point.index, 0))
-        if point.scheme == "OMA":
-            code, eq, matched_filter = walsh_matrix(l, v), None, None
-        else:
-            code, eq = msequence_code(l, cfg.taps), ZfEqualizer.for_dimensions(l, v)
-            matched_filter = csms_matched_filter(code, v)
+        receivers = {} if receivers is None else receivers
+        if v not in receivers:
+            if point.scheme == "OMA":
+                receivers[v] = walsh_matrix(l, v), None, None
+            else:
+                code = msequence_code(l, cfg.taps)
+                receivers[v] = code, ZfEqualizer.for_dimensions(l, v), csms_matched_filter(code, v)
+        code, eq, matched_filter = receivers[v]
         signal = (None if cfg.phase_policy == "per-trial" else
                   _realize(point, code, gains.phases[None]))
         return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
@@ -282,9 +312,9 @@ class _Workspace:
     shrunk, so a warm block allocates no array above the allocator's mmap
     threshold and takes no page faults.  Each name's bytes are their own
     private anonymous memory map: kept on the malloc heap, they would stop
-    the heap from giving back the point buffers freed below them (full fig7
-    at one worker peaked 15 MB higher), and a shared map would be written by
-    every forked worker at once."""
+    the heap from giving back larger arrays freed below them (full fig7 at one
+    worker peaked 15 MB higher when each point kept all its errors), and a
+    shared map would be written by every forked worker at once."""
 
     def __init__(self):
         self._maps = {}
@@ -302,7 +332,7 @@ class _Workspace:
 
 # Windows has no flags, and no fork to share a map with.
 _PRIVATE_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-_workspace = _Workspace()  # used only by _trial_chunk, under _lock
+_workspace = _Workspace()  # used only by _trial_chunk and _group_rows, under _lock
 
 
 def _realize(point, code, phases, scratch=new_array):
@@ -325,15 +355,30 @@ def _realize(point, code, phases, scratch=new_array):
     return np.conjugate(w, out=w), clean
 
 
-def _trial_chunk(model, block, out=None):
+def _noise_block(model, block, scratch=new_array):
+    """The unit noise planes of trial block ``block`` of ``model``'s config, which every
+    point of its code length L shares: (2, T, W) standard normals, W = L (OMA) or 2L - 1
+    (CSMS), the longest receive stream of any V.  One generator, ``[master_seed, 0, 0, L,
+    1 + block]``, draws them in one ``complex_awgn`` call of variance 2 into
+    ``scratch("noise")``."""
+    point = model.point
+    size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
+    width = point.code_length if point.scheme == "OMA" else 2 * point.code_length - 1
+    return complex_awgn(rng_stream(model.master_seed, 0, 0, point.code_length, 1 + block),
+                        (size, width), 2.0, scratch("noise", (2, size, width), np.float64))
+
+
+def _trial_chunk(model, block, out=None, noise=None):
     """(T, 2, V-1) gain and phase errors of one trial block, received in one pass.
 
-    One generator, ``[master_seed, point_index, 1 + block]``, draws the
-    block's (T, V) phases (per-trial mode), then its (T, n) noise in one
-    ``complex_awgn`` call, straight into one (2, T, n) planes array that the
-    clean signal's planes are added to.  One real correlator takes both
-    planes: the Walsh columns (OMA) or the point's matched filter (CSMS).
-    The estimates are de-rotated by the truth before the readout, so its
+    The block's noise is its shared unit planes, ``noise`` or else drawn by
+    ``_noise_block``; their first n = L (OMA) or L + V - 1 (CSMS) samples,
+    scaled by sqrt(noise_var / 2), go into one (2, T, n) planes array that
+    the clean signal's planes are added to.  With per-trial phases the
+    point's generator ``[master_seed, point_index, 1 + block]`` draws the
+    block's (T, V) phases.  One real correlator takes both planes: the
+    Walsh columns (OMA) or the point's matched filter (CSMS).  The
+    estimates are de-rotated by the truth before the readout, so its
     mismatch is the error itself, phase in (-180, 180].  The errors go to
     the first T rows of ``out`` when given, else to a new array.  Every other
     array of the block lives in the process's ``_workspace``, which the block
@@ -345,26 +390,29 @@ def _trial_chunk(model, block, out=None):
       the correlation's (2T, n_fft // 2 + 1); float64 "correlation", the
       (2T, V) product or (2T, n_fft) inverse transform; complex128 "product",
       the readout's (T, V-1);
-    - the arrays passed from stage to stage: float64 "phases" (T, V),
-      "weight_planes" (2, T, V), "clean" and "planes" (2, T, n); complex128
-      "weights" (T, V), the de-rotation, "peaks" (T, V), the correlator's
-      output, which CSMS equalizes in place, and "derotated" (T, V).
+    - the arrays passed from stage to stage: float64 "noise" (2, T, W),
+      "phases" (T, V), "weight_planes" (2, T, V), "clean" and "planes"
+      (2, T, n); complex128 "weights" (T, V), the de-rotation, "peaks"
+      (T, V), the correlator's output, which CSMS equalizes in place, and
+      "derotated" (T, V).  ``_group_rows`` adds float64 "errors".
     """
     point, v = model.point, model.point.n_elements
-    size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
-    out = np.empty((size, 2, v - 1)) if out is None else out[:size]
     with _lock:
         scratch = _workspace.array
-        rng = rng_stream(model.master_seed, point.index, 1 + block)
+        if noise is None:
+            noise = _noise_block(model, block, scratch)
+        size = noise.shape[1]
+        out = np.empty((size, 2, v - 1)) if out is None else out[:size]
         if model.signal is None:
             # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
+            rng = rng_stream(model.master_seed, point.index, 1 + block)
             phases = rng.random(out=scratch("phases", (size, v), np.float64))
             derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
                                        scratch)
         else:
             derotate, clean = model.signal
         planes = scratch("planes", (2, size, clean.shape[-1]), np.float64)
-        complex_awgn(rng, planes.shape[1:], model.noise_var, planes)
+        np.multiply(noise[..., :clean.shape[-1]], np.sqrt(model.noise_var / 2.0), out=planes)
         np.add(planes, clean, out=planes)
         if point.scheme == "OMA":
             estimates = oma_estimate(model.code, planes, scratch)
@@ -388,22 +436,47 @@ def run_trial(cfg, point, trial_index):
     return tuple(_trial_chunk(PointModel.build(cfg, point), block)[row])
 
 
-def _reduce(sq_errors):
-    """(gain, phase) RMSEs and linearized standard errors of ``_point_row``'s (T, 2, V-1)
-    squared errors, which it weights in place.  Its sums over trials run outside the C-ordered
-    (2, V-1) rows, which numpy adds row by row, so they are in trial order at every V.  The
-    standard error is the delta method's sd(y) / sqrt(T), ddof 1, of y_t = sum_v sq_{t,v} w_v,
-    w_v = 1 / (2 (V-1) RMSE_v), or 0 where RMSE_v is 0; one trial gives 0."""
-    trials, _, others = sq_errors.shape
-    rmse = np.sqrt(sq_errors.sum(axis=0) / trials)
-    if trials < 2:
-        return rmse.mean(axis=-1), np.zeros(2)
-    weights = np.divide(0.5 / others, rmse, out=np.zeros_like(rmse), where=rmse > 0)
-    np.multiply(sq_errors, weights, out=sq_errors)
-    # y is (2, T): std sums each column's trials as one contiguous row, as for one column alone.
-    y = np.empty((2, trials))
-    np.sum(sq_errors, axis=-1, out=y.T)
-    return rmse.mean(axis=-1), y.std(axis=1, ddof=1) / np.sqrt(trials)
+class _ErrorSums:
+    """A point's squared errors, reduced block by block as they arrive.
+
+    ``total`` is the running (2, V-1) sum over trials.  ``add`` sums it and
+    each block's rows as one array, the total first, so the trials are added
+    one by one in trial order, as a sum over all T rows at once would.  The
+    standard error is the delta method's, from the per-trial
+    y_t = sum_v sq_{t,v} w_v, w_v = 1 / (2 (V-1) r0_v), or 0 where r0_v is
+    0, with r0_v the first block's RMSE, scaled by mean(r0) / mean(RMSE):
+    (2, T) floats per point however many elements it has.  Up to one block
+    of trials, r0 is the RMSE and the scale 1."""
+
+    def __init__(self, trials, n_elements):
+        self.total = np.zeros((2, n_elements - 1))
+        self.first = self.weights = None
+        self.y = np.empty((2, trials))
+        self.count = 0
+
+    def add(self, errors):
+        """Add the next block's squared errors, rows 1.. of the (1 + T_b, 2, V-1)
+        ``errors``; row 0 takes the total, and the rows are weighted in place."""
+        errors[0] = self.total
+        np.sum(errors, axis=0, out=self.total)
+        sq = errors[1:]
+        if self.weights is None:
+            self.first = np.sqrt(self.total / len(sq))
+            self.weights = np.divide(0.5 / sq.shape[-1], self.first,
+                                     out=np.zeros_like(self.first), where=self.first > 0)
+        np.multiply(sq, self.weights, out=sq)
+        # y is (2, T): std sums each column's trials as one contiguous row, as for one column alone.
+        np.sum(sq, axis=-1, out=self.y[:, self.count:self.count + len(sq)].T)
+        self.count += len(sq)
+
+    def result(self):
+        """(gain, phase) RMSEs and their standard errors; one trial gives 0."""
+        trials = self.y.shape[1]
+        rmse = np.sqrt(self.total / trials).mean(axis=-1)
+        if trials < 2:
+            return rmse, np.zeros(2)
+        scale = np.divide(self.first.mean(axis=-1), rmse, out=np.zeros(2), where=rmse > 0)
+        return rmse, scale * (self.y.std(axis=1, ddof=1) / np.sqrt(trials))
 
 
 @dataclass(frozen=True)
@@ -461,16 +534,35 @@ class RmseReport:
         return buf.getvalue()
 
 
-def _point_row(cfg, point):
-    """Report row of one grid point: its model, prediction and trial blocks in trial order,
-    squared into one (T, 2, V-1) buffer, trial t at row t, for ``_reduce``."""
-    model = PointModel.build(cfg, point)
-    theory = accuracy.theory_point(model.gains, model.noise_stats())
-    sq_errors = np.empty((cfg.trials, 2, point.n_elements - 1))
-    for b, start in enumerate(range(0, cfg.trials, BLOCK_TRIALS)):
-        chunk = _trial_chunk(model, b, sq_errors[start:])
-        np.square(chunk, out=chunk)
-    (gain, phase), (gain_se, phase_se) = _reduce(sq_errors)
+def _group_rows(cfg, points):
+    """Report rows of ``points``, grid points of ``cfg``, in their order.
+
+    Points of one element count share one code, equalizer and matched
+    filter.  The points run block by block: each block's noise is drawn
+    once, by ``_noise_block``, and every point receives its own trials on
+    it.  A point's squared errors go to the workspace's (1 + T_b, 2, V-1)
+    "errors" and are reduced into its ``_ErrorSums`` before the next point
+    runs.  So a point holds O(V + T) floats whatever its trial count, and
+    its row does not depend on which other points share its group."""
+    with _lock:
+        receivers = {}
+        models = [PointModel.build(cfg, point, receivers) for point in points]
+        theories = [accuracy.theory_point(model.gains, model.noise_stats()) for model in models]
+        sums = [_ErrorSums(cfg.trials, point.n_elements) for point in points]
+        for block in range(math.ceil(cfg.trials / BLOCK_TRIALS)):
+            noise = _noise_block(models[0], block, _workspace.array)
+            for model, point_sums in zip(models, sums):
+                shape = (1 + noise.shape[1], 2, model.point.n_elements - 1)
+                errors = _workspace.array("errors", shape, np.float64)
+                chunk = _trial_chunk(model, block, errors[1:], noise)
+                np.square(chunk, out=chunk)
+                point_sums.add(errors)
+        return tuple(_row(cfg, point, theory, point_sums.result())
+                     for point, theory, point_sums in zip(points, theories, sums))
+
+
+def _row(cfg, point, theory, simulated):
+    (gain, phase), (gain_se, phase_se) = simulated
     return RmseRow(
         scheme=point.scheme,
         n_elements=point.n_elements,
@@ -490,12 +582,15 @@ def _point_row(cfg, point):
 def _run(configs, workers):
     """Report rows of every grid point of ``configs``, in report order.
 
-    Each (config, point) pair is one task (``_point_row``).  A call of one
-    task, or of ``min(workers, os.cpu_count())`` = 1 worker, runs its tasks in
-    process in report order.  Any other call maps them on this process's pool
-    of that size longest first, by ``_cost`` with ties in report order, so
-    that the dearest points do not start last and run alone; the rows come
-    back in report order.  The call holds ``_lock`` throughout, so calls from
+    A task is ``_group_rows`` of a group of one config's points.  A call of
+    ``min(workers, os.cpu_count())`` = 1 worker runs each config as one
+    task, in process in report order.  Any other call splits each config
+    into ``min(points, 2 * workers)`` groups of about equal ``_cost``
+    (``_groups``); one task in all runs in process, more are mapped on this
+    process's pool of that size longest first, ties in report order, so
+    that the dearest groups do not start last and run alone, and more tasks
+    than workers keep the pool's own balancing.  The rows come back in
+    report order.  The call holds ``_lock`` throughout, so calls from
     several threads run one after another, and runs at one BLAS thread in
     the calling process; the previous count comes back when it leaves, also
     when a task raises."""
@@ -503,29 +598,47 @@ def _run(configs, workers):
         raise ConfigError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    tasks = [(cfg, point) for cfg in configs for point in scenario_points(cfg)]
     workers = min(int(workers), os.cpu_count() or 1)
+    tasks = [(c, group) for c, cfg in enumerate(configs)
+             for group in _groups(cfg, 1 if workers == 1 else 2 * workers)]
     with _lock:
         blas = _set_blas_threads(1)
         try:
             if workers == 1 or len(tasks) == 1:
-                return tuple(map(_point_row, *zip(*tasks)))
-            order = sorted(range(len(tasks)), key=lambda i: -_cost(*tasks[i]))
-            try:
-                rows = _worker_pool(workers).map(_point_row, *zip(*(tasks[i] for i in order)))
-                by_task = dict(zip(order, rows))
-            except BrokenProcessPool:
-                _close_pool()
-                raise
-            return tuple(by_task[i] for i in range(len(tasks)))
+                results = [_group_rows(configs[c], group) for c, group in tasks]
+            else:
+                tasks.sort(key=lambda task: -_cost(configs[task[0]], task[1]))
+                try:
+                    results = list(_worker_pool(workers).map(
+                        _group_rows, [configs[c] for c, _ in tasks], [group for _, group in tasks]))
+                except BrokenProcessPool:
+                    _close_pool()
+                    raise
+            rows = {(c, point.index): row for (c, group), group_rows in zip(tasks, results)
+                    for point, row in zip(group, group_rows)}
+            return tuple(rows[c, point.index] for c, cfg in enumerate(configs)
+                         for point in scenario_points(cfg))
         finally:
             if blas is not None:
                 _set_blas_threads(blas)
 
 
-def _cost(cfg, point):
-    """Estimated relative cost of a point task, trials x (L + V)."""
-    return cfg.trials * (point.code_length + point.n_elements)
+def _groups(cfg, count):
+    """The grid points of ``cfg`` dealt into ``min(points, count)`` groups of about equal
+    ``_cost``: dearest first, ties in report order, each to the cheapest group so far, ties
+    to the first.  Each group keeps report order."""
+    points = scenario_points(cfg)
+    groups, loads = [[] for _ in range(min(count, len(points)))], [0] * min(count, len(points))
+    for point in sorted(points, key=lambda p: -_cost(cfg, (p,))):
+        cheapest = loads.index(min(loads))
+        groups[cheapest].append(point)
+        loads[cheapest] += _cost(cfg, (point,))
+    return [tuple(sorted(group, key=lambda p: p.index)) for group in groups]
+
+
+def _cost(cfg, points):
+    """Estimated relative cost of a group task, the sum of trials x (L + V) over its points."""
+    return cfg.trials * sum(point.code_length + point.n_elements for point in points)
 
 
 _pool = None  # (workers, ProcessPoolExecutor, its shutdown finalizer); see _worker_pool

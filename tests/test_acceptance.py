@@ -284,8 +284,12 @@ def test_simulation_matches_theory_within_its_standard_errors(fig5_report, fig7_
     # should meet the simulation to Monte-Carlo error on every row, and with
     # the linearized standard error z = (sim - theory) / stderr is close to
     # normal.  Over the 124 values: max |z| <= 3.94, the two-sided normal
-    # tail of 1% / 124 (Bonferroni); and at most 12 beyond 2, where
-    # Binomial(124, 0.0455) exceeds 12 with probability 0.44%.
+    # tail of 1% / 124 (Bonferroni, which holds under any dependence); and at
+    # most 12 beyond 2.  Independent values would exceed 12 with probability
+    # 0.44% (Binomial(124, 0.0455)), but a config's points share each block's
+    # noise, so its rows' errors move together and the count has a wider
+    # tail: at seed 1729 five of OMA 64's seven gain z lie between -3.1 and
+    # -3.7, and ten values lie beyond 2.
     z = []
     for row in (*fig5_report.rows, *fig7_report.rows):
         z.append((row.gain_rmse_sim_db - row.gain_rmse_theory_db) / row.gain_rmse_sim_stderr)

@@ -99,6 +99,13 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             small_csms_config(**overrides)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # The generators take the seed modulo 2^64: -1 would draw what 2^64 - 1 draws.
+        with pytest.raises(ConfigError, match="master_seed"):
+            small_csms_config(master_seed=seed)
+        assert small_csms_config(master_seed=2**64 - 1).master_seed == 2**64 - 1
+
     def test_numpy_integers_accepted(self):
         cfg = small_csms_config(trials=np.int64(64), n_elements=np.int32(6))
         assert cfg == small_csms_config()
@@ -335,15 +342,16 @@ class TestRunTrial:
         # Independent oracle: re-derive one trial's errors from the raw
         # generator contract with explicit formulas, no library calls.
         # Trial 66 of 70 is row 2 of block 1, the 6-trial partial block,
-        # drawn by an SFC64 generator keyed [seed, point, 1 + block]; its
-        # real (6, n) normals come before its imaginary (6, n) normals.
+        # whose noise an SFC64 generator keyed [seed, 0, 0, L, 1 + block]
+        # draws for every point of code length L: its real (6, L) normals
+        # come before its imaginary (6, L) normals.
         cfg = ScenarioConfig(scheme="OMA", code_length=2, n_elements=2,
                              snr_grid_db=(30.0,), trials=70, master_seed=99)
         point = scenario_points(cfg)[0]
         gain_err, phase_err = run_trial(cfg, point, 66)
 
         phases = sfc64([99, 0, 0]).uniform(0.0, 2.0 * np.pi, 2)
-        rng = sfc64([99, 0, 2])
+        rng = sfc64([99, 0, 0, 2, 2])
         c = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
         w = np.exp(1j * phases)
         scale = np.sqrt(1e-3 / 2.0)
@@ -358,10 +366,12 @@ class TestRunTrial:
         assert phase_err[0] == pytest.approx(exp_phase, abs=1e-12)
 
     def test_per_trial_csms_trial_against_straight_line_script(self):
-        # Same oracle with per-trial phases: block 1's generator draws its
-        # (6, V) phases first, then the noise; the clean stream is a sum of
-        # rolled codes, the matched filter a dot product, the equalizer the
-        # dense inverse of the peak correlation matrix.
+        # Same oracle with per-trial phases: the point's block-1 generator,
+        # keyed [seed, point, 1 + block], draws its (6, V) phases alone; the
+        # shared noise block is (6, 2L - 1) per part, of which a stream takes
+        # its first L + V - 1 samples.  The clean stream is a sum of rolled
+        # codes, the matched filter a dot product, the equalizer the dense
+        # inverse of the peak correlation matrix.
         l, v = 7, 3
         cfg = ScenarioConfig(scheme="CSMS", code_length=l, n_elements=v,
                              snr_grid_db=(20.0,), trials=70, master_seed=99,
@@ -371,10 +381,11 @@ class TestRunTrial:
 
         code = msequence_code(l)
         n = l + v - 1
-        rng = sfc64([99, 0, 2])
-        phases = rng.uniform(0.0, 2.0 * np.pi, (6, v))[2]
+        phases = sfc64([99, 0, 2]).uniform(0.0, 2.0 * np.pi, (6, v))[2]
+        rng = sfc64([99, 0, 0, l, 2])
         scale = np.sqrt(1e-2 / 2.0)
-        real, imag = rng.standard_normal((6, n)), rng.standard_normal((6, n))
+        real, imag = rng.standard_normal((6, 2 * l - 1)), rng.standard_normal((6, 2 * l - 1))
+        real, imag = real[:, :n], imag[:, :n]
         period = sum(np.exp(1j * phases[q]) * np.roll(code, q) for q in range(v))
         received = np.concatenate([period, period[:v - 1]]) + scale * real[2] + 1j * scale * imag[2]
         peaks = np.array([np.dot(code, received[q:q + l]) for q in range(v)])
@@ -431,9 +442,11 @@ class TestSingleChain:
         # Every column sums each element's squared errors trial by trial, in
         # trial order, also across blocks and with one non-reference element,
         # and in a one-trial last block, whose peaks are equalized as any
-        # block's rows are, each as one contiguous row.  The
-        # standard error is the linearized one: each trial's squared errors
-        # weighted by 1 / (2 (V-1) RMSE_v), an element of RMSE 0 by 0.
+        # block's rows are, each as one contiguous row.  The standard error
+        # is the linearized one with weights fixed by the first block: each
+        # trial's squared errors weighted by 1 / (2 (V-1) r0_v), r0_v the
+        # first block's RMSE and an element of r0 0 by 0, and sd / sqrt(T)
+        # scaled by mean(r0) / mean(RMSE), 0 where that RMSE is 0.
         point = scenario_points(cfg)[0]
         errors = [run_trial(cfg, point, t) for t in range(cfg.trials)]
         gain_sq = np.array([g**2 for g, _ in errors])
@@ -451,13 +464,14 @@ class TestSingleChain:
         def stderr(sq):
             if len(sq) < 2:
                 return 0.0
-            per_element = element_rmse(sq)
+            first = element_rmse(sq[:harness.BLOCK_TRIALS])
             weights = np.zeros(sq.shape[1])
-            for v, r in enumerate(per_element):
+            for v, r in enumerate(first):
                 if r > 0:
                     weights[v] = 0.5 / sq.shape[1] / r
             y = np.array([(row * weights).sum() for row in sq])
-            return float(y.std(ddof=1) / np.sqrt(len(sq)))
+            scale = first.mean() / rmse(sq) if rmse(sq) > 0 else 0.0
+            return float(scale * (y.std(ddof=1) / np.sqrt(len(sq))))
 
         row = run_scenario(cfg).rows[0]
         assert row.gain_rmse_sim_db == rmse(gain_sq)
@@ -502,18 +516,78 @@ class TestSingleChain:
                                        rtol=0, atol=1e-12)
 
     def test_point_memory_is_bounded_by_its_squared_error_buffer(self):
-        # The point's (trials, 2, V-1) buffer is the only array of trials x V
-        # size: blocks are squared into it, and it is weighted and reduced in place.
+        # No array of a point's trials x V size is left: its blocks are reduced
+        # as they arrive, well inside the bound that the (trials, 2, V-1)
+        # buffer which once held them set.
         cfg = ScenarioConfig(scheme="CSMS", code_length=255, v_grid=(255,), ev_n0_db=30.0,
                              trials=2000, master_seed=5)
         point = scenario_points(cfg)[0]
         tracemalloc.start()
         try:
-            harness._point_row(cfg, point)
+            harness._group_rows(cfg, (point,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * cfg.trials * (point.n_elements - 1) * 8
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(50,), ev_n0_db=30.0,
+                       trials=20_000, master_seed=5),
+        ScenarioConfig(scheme="OMA", code_length=64, v_grid=(50,), ev_n0_db=30.0,
+                       trials=20_000, master_seed=5, phase_policy="per-trial"),
+    ], ids=["CSMS", "OMA-per-trial"])
+    def test_point_memory_is_bounded_by_one_block(self, cfg):
+        # A point keeps its running (2, V-1) sums and its (2, T) per-trial
+        # standard-error terms, whose std takes one temporary of their size;
+        # a block's (T_b, 2, V-1) errors are reduced before the next block.
+        # A (T, 2, V-1) buffer of every block's errors would be 15.7 MB here.
+        point = scenario_points(cfg)[0]
+        tracemalloc.start()
+        try:
+            harness._group_rows(cfg, (point,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (harness.BLOCK_TRIALS * (point.n_elements - 1) * 8 + 16 * cfg.trials)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4, 63, 20, 40), ev_n0_db=20.0,
+                       trials=2 * harness.BLOCK_TRIALS + 3, master_seed=7),
+        ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4, 63, 20, 40), ev_n0_db=20.0,
+                       trials=2 * harness.BLOCK_TRIALS + 3, master_seed=7,
+                       phase_policy="per-trial"),
+        ScenarioConfig(scheme="OMA", code_length=64, n_elements=8,
+                       snr_grid_db=(10.0, 20.0, 30.0, math.inf), trials=70, master_seed=7),
+    ], ids=["CSMS", "CSMS-per-trial", "OMA"])
+    def test_rows_do_not_depend_on_the_grouping(self, cfg):
+        # A point's noise is its config's shared block, keyed by seed, code
+        # length and block alone: one group, one group per point and any
+        # split or order of the points give the same bytes.
+        points = scenario_points(cfg)
+
+        def csv(split):
+            rows = {point.index: row for group in split
+                    for point, row in zip(group, harness._group_rows(cfg, group))}
+            return RmseReport(rows=tuple(rows[point.index] for point in points)).to_csv_text()
+
+        whole = csv([points])
+        for split in ([(point,) for point in points], [points[::2], points[1::2]],
+                      [points[3:], points[:3]], [points[::-1]]):
+            assert csv(split) == whole
+
+    def test_points_of_one_element_count_share_one_receiver(self, monkeypatch):
+        # A group builds the code matrix or matched filter of each element count once.
+        built = []
+        for name in ("walsh_matrix", "csms_matched_filter"):
+            def counted(*args, original=getattr(harness, name)):
+                built.append(args[-1])
+                return original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0, 30.0), trials=8))
+        run_scenario(ScenarioConfig(scheme="OMA", code_length=16, v_grid=(4, 8, 4),
+                                    ev_n0_db=20.0, trials=8))
+        assert built == [6, 4, 8]
 
     def test_per_trial_span_ignores_earlier_trials(self):
         # A block depends on its model and index alone: running other blocks
@@ -536,9 +610,9 @@ class TestSingleChain:
         built = []
         original = PointModel.build.__func__
 
-        def counting(cls, cfg, point):
+        def counting(cls, cfg, point, *args):
             built.append(point.index)
-            return original(cls, cfg, point)
+            return original(cls, cfg, point, *args)
 
         monkeypatch.setattr(PointModel, "build", classmethod(counting))
         run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8))
@@ -666,7 +740,7 @@ class TestWorkspace:
         # workspace.  Fresh ones would be mapped and faulted in again on every
         # block: about 260 minor faults per block at CSMS 255/50, and about 60
         # at OMA 512/50 for a complex copy of the Walsh matrix.  The blocks
-        # write their errors into one caller's buffer, as in _point_row; a new
+        # write their errors into one caller's buffer, as in _group_rows; a new
         # (T, 2, V-1) result of 417 KB at V = 408 would be mapped itself.  CSMS
         # 127/127 has a dense matched filter and 511/408 an FFT one.
         model = PointModel.build(cfg, scenario_points(cfg)[0])
@@ -778,37 +852,45 @@ class TestWorkerCap:
 
 class TestPoolDispatch:
     @staticmethod
-    def _mapped_pairs():
-        [(fn, (cfgs, points))] = _InProcessPool.mapped
-        assert fn is harness._point_row
-        assert not any(isinstance(a, PointModel) for a in (*cfgs, *points))
-        return list(zip(cfgs, points))
+    def _mapped_groups():
+        [(fn, (cfgs, groups))] = _InProcessPool.mapped
+        assert fn is harness._group_rows
+        assert not any(isinstance(a, PointModel) for a in (*cfgs, *sum(groups, ())))
+        return list(zip(cfgs, groups))
 
     def test_points_are_the_only_tasks(self, monkeypatch, fake_pool):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        # 3 points x 2 blocks: the blocks stay inside their point's task, which
-        # the pool gets dearest first; the rows come back in report order.
+        # 3 points x 2 blocks on 2 workers: up to 4 groups, so each point is a
+        # group of its own; the blocks stay inside it, the pool gets the groups
+        # dearest first, and the rows come back in report order.
         cfg = ScenarioConfig(scheme="CSMS", code_length=63, v_grid=(4, 30, 10), ev_n0_db=25.0,
                              trials=harness.BLOCK_TRIALS + 1, master_seed=7)
         report = run_scenario(cfg, workers=2)
         assert _InProcessPool.created == [2]
         points = scenario_points(cfg)
-        assert self._mapped_pairs() == [(cfg, points[i]) for i in (1, 2, 0)]
+        assert self._mapped_groups() == [(cfg, (points[i],)) for i in (1, 2, 0)]
         assert [row.n_elements for row in report.rows] == [4, 30, 10]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
-        # A figure: one map over every (config, point) pair, longest first, on the same pool.
+        # A figure: one map over every config's groups, dearest first, on the
+        # same pool.  Each config's points are dealt into min(points, 4) groups,
+        # dearest point first to the cheapest group, each group in report order.
         monkeypatch.setattr(_InProcessPool, "mapped", [])
         report = reproduce_figure("fig7", trials=2, workers=2)
         assert _InProcessPool.created == [2]
-        in_report_order = [(c, p) for c in figure_configs("fig7", trials=2)
-                           for p in scenario_points(c)]
-        mapped = self._mapped_pairs()
-        assert mapped == sorted(in_report_order, key=lambda pair: -harness._cost(*pair))
-        assert [(p.code_length, p.n_elements) for _, p in mapped[:5]] == [
-            (511, 511), (511, 500), (511, 485), (511, 408), (511, 306)]
+        configs = figure_configs("fig7", trials=2)
+        in_report_order = [(c, group) for c in configs for group in harness._groups(c, 4)]
+        mapped = self._mapped_groups()
+        assert mapped == sorted(in_report_order, key=lambda task: -harness._cost(*task))
+        for c in configs:
+            groups = [group for cfg, group in mapped if cfg == c]
+            assert len(groups) == min(len(scenario_points(c)), 4)
+            assert sorted(p.index for p in sum(groups, ())) == list(range(len(scenario_points(c))))
+            assert all(list(group) == sorted(group, key=lambda p: p.index) for group in groups)
+        assert [[p.n_elements for p in group] for _, group in mapped[:4]] == [
+            [306, 408], [204, 485], [102, 500], [511]]
         assert [(row.code_length, row.n_elements) for row in report.rows] == [
-            (p.code_length, p.n_elements) for _, p in in_report_order]
+            (p.code_length, p.n_elements) for c in configs for p in scenario_points(c)]
         assert report.to_csv_text() == reproduce_figure("fig7", trials=2).to_csv_text()
 
     def test_tied_points_keep_report_order(self, monkeypatch, fake_pool):
@@ -816,7 +898,16 @@ class TestPoolDispatch:
         # An SNR sweep: every point costs the same.
         cfg = small_csms_config(snr_grid_db=(30.0, 10.0, 20.0), trials=3)
         report = run_scenario(cfg, workers=2)
-        assert self._mapped_pairs() == [(cfg, p) for p in scenario_points(cfg)]
+        assert self._mapped_groups() == [(cfg, (p,)) for p in scenario_points(cfg)]
+        assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
+
+        # Six tied points in four groups: dealt in report order, a tie to the first group.
+        monkeypatch.setattr(_InProcessPool, "mapped", [])
+        cfg = small_csms_config(snr_grid_db=(30.0, 10.0, 20.0, 25.0, 15.0, 35.0), trials=3)
+        report = run_scenario(cfg, workers=2)
+        p = scenario_points(cfg)
+        assert self._mapped_groups() == [(cfg, (p[0], p[4])), (cfg, (p[1], p[5])),
+                                         (cfg, (p[2],)), (cfg, (p[3],))]
         assert report.to_csv_text() == run_scenario(cfg, workers=1).to_csv_text()
 
 
@@ -1002,19 +1093,20 @@ class TestCallerBlasThreads:
     def seen(self, monkeypatch):
         """The BLAS thread counts that tasks see, one per task."""
         counts = []
-        point_row = harness._point_row
+        group_rows = harness._group_rows
 
-        def recording(cfg, point):
+        def recording(cfg, points):
             counts.append(_worker_blas_threads())
-            return point_row(cfg, point)
+            return group_rows(cfg, points)
 
-        monkeypatch.setattr(harness, "_point_row", recording)
+        monkeypatch.setattr(harness, "_group_rows", recording)
         return counts
 
     def test_in_process_tasks_see_one_thread(self, seen):
+        # One worker: the config is one task; one point: one task, in process.
         run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8), workers=1)
-        run_scenario(small_csms_config(trials=8), workers=4)  # one task: in process
-        assert seen == [1, 1, 1]
+        run_scenario(small_csms_config(trials=8), workers=4)
+        assert seen == [1, 1]
         assert _worker_blas_threads() == 2
 
     def test_pooled_call_holds_the_caller(self, monkeypatch, fake_pool, seen):
@@ -1026,10 +1118,10 @@ class TestCallerBlasThreads:
         assert _worker_blas_threads() == 2
 
     def test_count_restored_when_a_task_raises(self, monkeypatch):
-        def failing(cfg, point):
+        def failing(cfg, points):
             raise RuntimeError(f"task saw {_worker_blas_threads()} BLAS threads")
 
-        monkeypatch.setattr(harness, "_point_row", failing)
+        monkeypatch.setattr(harness, "_group_rows", failing)
         with pytest.raises(RuntimeError, match="task saw 1 BLAS threads"):
             run_scenario(small_csms_config(trials=8))
         assert _worker_blas_threads() == 2
@@ -1039,18 +1131,18 @@ class TestCallerBlasThreads:
         # made while the first one's task waits, enters no task until the
         # first call has left.
         first_inside, second_calling = threading.Event(), threading.Event()
-        point_row, log, reports = harness._point_row, [], {}
+        group_rows, log, reports = harness._group_rows, [], {}
 
-        def recording(cfg, point):
+        def recording(cfg, points):
             name = threading.current_thread().name
             log.append((name, "enter", _worker_blas_threads()))
-            if name == "first" and point.index == 0:
+            if name == "first":
                 first_inside.set()
                 assert second_calling.wait(60)
                 time.sleep(0.1)  # time for the second call to reach a task
-            row = point_row(cfg, point)
+            rows = group_rows(cfg, points)
             log.append((name, "leave"))
-            return row
+            return rows
 
         def call():
             name = threading.current_thread().name
@@ -1058,7 +1150,7 @@ class TestCallerBlasThreads:
                 second_calling.set()
             reports[name] = run_scenario(cfg).to_csv_text()
 
-        monkeypatch.setattr(harness, "_point_row", recording)
+        monkeypatch.setattr(harness, "_group_rows", recording)
         cfg = small_csms_config(snr_grid_db=(10.0, 20.0), trials=8)
         first, second = (threading.Thread(target=call, name=name) for name in ("first", "second"))
         first.start()
@@ -1067,28 +1159,28 @@ class TestCallerBlasThreads:
         for thread in (first, second):
             thread.join(120)
             assert not thread.is_alive()
-        assert [entry[0] for entry in log] == ["first"] * 4 + ["second"] * 4
-        assert [entry[2] for entry in log if entry[1] == "enter"] == [1] * 4
+        assert [entry[0] for entry in log] == ["first"] * 2 + ["second"] * 2
+        assert [entry[2] for entry in log if entry[1] == "enter"] == [1] * 2
         assert reports["first"] == reports["second"]
         assert _worker_blas_threads() == 2
 
     def test_count_restored_after_nested_call(self, monkeypatch):
         # A task that makes a call of its own re-enters the lock; the inner
         # call gives the outer one back its one thread.
-        point_row, inner, seen = harness._point_row, small_csms_config(trials=8), []
+        group_rows, inner, seen = harness._group_rows, small_csms_config(trials=8), []
 
-        def nesting(cfg, point):
+        def nesting(cfg, points):
             if cfg is inner:
                 seen.append(("inner", _worker_blas_threads()))
             else:
                 assert len(run_scenario(inner).rows) == 1
                 seen.append(("outer", _worker_blas_threads()))
-            return point_row(cfg, point)
+            return group_rows(cfg, points)
 
-        monkeypatch.setattr(harness, "_point_row", nesting)
+        monkeypatch.setattr(harness, "_group_rows", nesting)
         report = run_scenario(small_csms_config(snr_grid_db=(10.0, 20.0), trials=8))
         assert len(report.rows) == 2
-        assert seen == [("inner", 1), ("outer", 1)] * 2
+        assert seen == [("inner", 1), ("outer", 1)]
         assert _worker_blas_threads() == 2
 
     def test_many_threads_many_calls(self, seen):
@@ -1359,6 +1451,45 @@ def test_rng_stream_is_deterministic():
     np.testing.assert_array_equal(a, b)
     c = rng_stream(5, 1, 3).standard_normal(4)
     assert not np.array_equal(a, c)
+
+
+def _first_draws(master_seed, *key):
+    return rng_stream(master_seed, *key).bit_generator.random_raw(4).tobytes()
+
+
+def test_large_seeds_do_not_alias_smaller_ones():
+    # A seed of 2^32 or more is two 32-bit entropy words: at the head of one
+    # list with the key, 2**32 + 5 with key (7, 0) read as 5 with key (1, 7).
+    assert _first_draws(2**32 + 5, 7, 0) != _first_draws(5, 1, 7)
+    for seed in (2**32, 2**32 + 5, 2**63 + 1, 2**64 - 1):
+        low, high = seed & 0xFFFFFFFF, seed >> 32
+        assert _first_draws(seed, 7, 0) != _first_draws(low, high, 7, 0)
+        assert _first_draws(seed, 7, 0) != _first_draws(low, high, 0, 0, 7)
+    # Seeds below 2^32 keep their streams: the entropy list [seed, *key].
+    for seed in (0, 5, 1729, 2**32 - 1):
+        assert _first_draws(seed, 1, 7) == sfc64([seed, 1, 7]).bit_generator.random_raw(4).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1729, 2**32 - 1, 2**32, 2**32 + 1729, 2**64 - 1])
+def test_noise_key_collides_with_no_point_key(seed, monkeypatch):
+    # numpy pads an entropy list to four words with zeros, so [s, x] and
+    # [s, x, 0] seed one state: a noise key that matched a point key's padded
+    # words would replay that point's phases as its noise.
+    models = [PointModel.build(ScenarioConfig(scheme=scheme, code_length=length, n_elements=2,
+                                              snr_grid_db=(20.0,), trials=256, master_seed=seed),
+                               GridPoint(0, scheme, 2, length, 20.0))
+              for scheme, length in (("OMA", 2), ("OMA", 8), ("OMA", 64), ("CSMS", 7),
+                                     ("CSMS", 63))]
+    keys = []
+    monkeypatch.setattr(harness, "rng_stream", lambda *key: keys.append(key) or rng_stream(*key))
+    for model in models:
+        for block in range(4):
+            harness._noise_block(model, block)
+    noise = {_first_draws(*key) for key in keys}
+    points = {_first_draws(seed, index, key)
+              for index in range(8) for key in (0, *(1 + block for block in range(4)))}
+    assert len(keys) == len(noise) == 20 and len(points) == 40
+    assert not noise & points
 
 
 def test_grid_point_is_plain_data():
