@@ -1,28 +1,32 @@
 """Monte-Carlo scenario runner, figure-reproduction grids, CSV reports.
 
-Each grid point is built once into an immutable ``PointModel``; it feeds
-the theory and one receive chain.  A point's trials are cut into fixed
-blocks of ``BLOCK_TRIALS`` by trial index alone, and each block is one
-batched pass through that chain, in arrays of one workspace that the
-process keeps by name and grows to its largest block; every stage draws
-its own temporaries from it, through its ``scratch`` argument.  A task is
-a group of one config's points (``_group_rows``): it builds their models
-and predictions, then runs the group block by block.  Each block's noise
-is drawn once and received by every point of the group, and each point's
-squared errors are reduced into its running sums before the next block,
-so a point holds O(V + T) floats, not its (T, V) errors.  One runner
-serves both ``run_scenario`` and ``reproduce_figure``: with one worker it
-runs each config as one task, in process in report order; otherwise it
-splits each config into ``min(points, 2 * workers)`` groups of about equal
-cost, and the process's worker pool gets them longest first and hands the
-rows back in report order.  That pool is forked once per process, by the
-first pooled call, with ``min(workers, CPU count)`` workers of one BLAS
-thread each; later calls
-of the same size reuse it, and its workers are joined at interpreter exit
-or exit by themselves when the calling process dies.  A process runs one
-call at a time, under one re-entrant lock that a nested call re-enters;
-the call holds the calling process at one BLAS thread, on either path, and
-gives its previous count back afterwards.
+Each grid point is built once into an immutable ``PointModel``, which
+holds what differs between the points of a config; it feeds the theory
+and one receive chain.  A point's trials are cut into fixed blocks of
+``BLOCK_TRIALS`` by trial index alone, and each block is one batched pass
+through that chain, ``_trial_chunk(cfg, model, block, noise, out)``, in
+arrays of one workspace that the process keeps by name and grows to its
+largest block; every stage draws its own temporaries from it, through
+its ``scratch`` argument.  The pass's two callers, ``_group_rows`` and
+``run_trial``, hold the workspace's lock and pass in the config, the
+block's shared noise from ``_noise_block`` and the output rows.  A task
+is a group of one config's points (``_group_rows``): it builds their
+models and predictions, then runs the group block by block.  Each
+block's noise is drawn once and received by every point of the group,
+and each point's squared errors are reduced into its running sums before
+the next block, so a point holds O(V + T) floats, not its (T, V) errors.
+One runner serves both ``run_scenario`` and ``reproduce_figure``: with
+one worker it runs each config as one task, in process in report order;
+otherwise it splits each config into ``min(points, 2 * workers)`` groups
+of about equal cost, and the process's worker pool gets them longest
+first and hands the rows back in report order.  That pool is forked once
+per process, by the first pooled call, with ``min(workers, CPU count)``
+workers of one BLAS thread each; later calls of the same size reuse it,
+and its workers are joined at interpreter exit or exit by themselves when
+the calling process dies.  A process runs one call at a time, under one
+re-entrant lock that a nested call re-enters; the call holds the calling
+process at one BLAS thread, on either path, and gives its previous count
+back afterwards.
 
 Determinism contract: a report is a pure function of the scenario
 configuration.  Every generator is numpy's SFC64 bit generator seeded by
@@ -80,7 +84,7 @@ from . import theory as accuracy
 from .channel import (ElementGains, LinkBudget, complex_awgn, csms_clean_stream,
                       ev_n0_from_link_budget, noise_var_from_snr)
 from .codes import default_taps_for_length, msequence_code, walsh_matrix
-from .errors import ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
+from .errors import ConfigError, DimensionError, NonMaximalPolynomial, UnknownFigure
 from .receiver import (ZfEqualizer, csms_matched_filter, csms_peaks, extract_mismatch, new_array,
                        oma_estimate, zf_equalize)
 # Uncalled here; perfbench/tracer.py patches it in this namespace, so it must exist.
@@ -258,9 +262,9 @@ def rng_stream(master_seed, *key):
 
 @dataclass(frozen=True)
 class PointModel:
-    """Everything the trials of one grid point share; built once, never mutated.
+    """What the trials of one grid point share beyond its config; built once, never mutated.
 
-    ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA), whose
+    The seed and trial count are read from the config.  ``code`` is the m-sequence (CSMS) or the Walsh matrix (OMA), whose
     columns are OMA's correlator.  ``matched_filter`` is None (OMA) or
     ``csms_matched_filter``'s correlator.  ``signal`` is ``_realize`` of the
     gains' phases as one (1, V) row, the truth de-rotation and clean signal
@@ -268,8 +272,6 @@ class PointModel:
     """
 
     point: GridPoint
-    master_seed: int
-    trials: int
     noise_var: float
     gains: ElementGains
     code: np.ndarray
@@ -294,8 +296,8 @@ class PointModel:
         code, eq, matched_filter = receivers[v]
         signal = (None if cfg.phase_policy == "per-trial" else
                   _realize(point, code, gains.phases[None]))
-        return cls(point, cfg.master_seed, cfg.trials, noise_var_from_snr(point.ev_n0_db, 1.0),
-                   gains, code, eq, matched_filter, signal)
+        return cls(point, noise_var_from_snr(point.ev_n0_db, 1.0), gains, code, eq, matched_filter,
+                   signal)
 
     def noise_stats(self):
         """Error statistics of the receiver's gain estimates at this point."""
@@ -311,10 +313,9 @@ class _Workspace:
     Each name's bytes grow to the largest array asked for and are never
     shrunk, so a warm block allocates no array above the allocator's mmap
     threshold and takes no page faults.  Each name's bytes are their own
-    private anonymous memory map: kept on the malloc heap, they would stop
-    the heap from giving back larger arrays freed below them (full fig7 at one
-    worker peaked 15 MB higher when each point kept all its errors), and a
-    shared map would be written by every forked worker at once."""
+    private anonymous memory map: outside the malloc heap, where full fig7
+    at one worker peaks 1-2 MB higher, and private, since a shared map would
+    be written by every forked worker at once."""
 
     def __init__(self):
         self._maps = {}
@@ -332,7 +333,7 @@ class _Workspace:
 
 # Windows has no flags, and no fork to share a map with.
 _PRIVATE_MAP = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-_workspace = _Workspace()  # used only by _trial_chunk and _group_rows, under _lock
+_workspace = _Workspace()  # used only under _lock, by _group_rows and run_trial
 
 
 def _realize(point, code, phases, scratch=new_array):
@@ -355,35 +356,34 @@ def _realize(point, code, phases, scratch=new_array):
     return np.conjugate(w, out=w), clean
 
 
-def _noise_block(model, block, scratch=new_array):
-    """The unit noise planes of trial block ``block`` of ``model``'s config, which every
-    point of its code length L shares: (2, T, W) standard normals, W = L (OMA) or 2L - 1
-    (CSMS), the longest receive stream of any V.  One generator, ``[master_seed, 0, 0, L,
-    1 + block]``, draws them in one ``complex_awgn`` call of variance 2 into
-    ``scratch("noise")``."""
-    point = model.point
-    size = min(BLOCK_TRIALS, model.trials - block * BLOCK_TRIALS)
-    width = point.code_length if point.scheme == "OMA" else 2 * point.code_length - 1
-    return complex_awgn(rng_stream(model.master_seed, 0, 0, point.code_length, 1 + block),
+def _noise_block(cfg, block, scratch):
+    """The unit noise planes of trial block ``block`` of ``cfg``, which every point of its
+    code length L shares: (2, T, W) standard normals, W = L (OMA) or 2L - 1 (CSMS), the
+    longest receive stream of any V.  One generator, ``[master_seed, 0, 0, L, 1 + block]``,
+    draws them in one ``complex_awgn`` call of variance 2 into ``scratch("noise")``."""
+    length = cfg.code_length
+    size = min(BLOCK_TRIALS, cfg.trials - block * BLOCK_TRIALS)
+    width = length if cfg.scheme == "OMA" else 2 * length - 1
+    return complex_awgn(rng_stream(cfg.master_seed, 0, 0, length, 1 + block),
                         (size, width), 2.0, scratch("noise", (2, size, width), np.float64))
 
 
-def _trial_chunk(model, block, out=None, noise=None):
-    """(T, 2, V-1) gain and phase errors of one trial block, received in one pass.
+def _trial_chunk(cfg, model, block, noise, out):
+    """The (T, 2, V-1) gain and phase errors of trial block ``block`` of ``model``, a point
+    of ``cfg``, received in one pass into ``out`` and returned.
 
-    The block's noise is its shared unit planes, ``noise`` or else drawn by
-    ``_noise_block``; their first n = L (OMA) or L + V - 1 (CSMS) samples,
-    scaled by sqrt(noise_var / 2), go into one (2, T, n) planes array that
-    the clean signal's planes are added to.  With per-trial phases the
-    point's generator ``[master_seed, point_index, 1 + block]`` draws the
-    block's (T, V) phases.  One real correlator takes both planes: the
-    Walsh columns (OMA) or the point's matched filter (CSMS).  The
-    estimates are de-rotated by the truth before the readout, so its
-    mismatch is the error itself, phase in (-180, 180].  The errors go to
-    the first T rows of ``out`` when given, else to a new array.  Every other
-    array of the block lives in the process's ``_workspace``, which the block
-    holds ``_lock`` to use and passes to every stage as its ``scratch``.  Its
-    names are of two kinds:
+    ``noise`` is the block's shared unit planes from ``_noise_block``; their
+    first n = L (OMA) or L + V - 1 (CSMS) samples, scaled by
+    sqrt(noise_var / 2), go into one (2, T, n) planes array that the clean
+    signal's planes are added to.  With per-trial phases the point's
+    generator ``[master_seed, point_index, 1 + block]`` draws the block's
+    (T, V) phases.  One real correlator takes both planes: the Walsh
+    columns (OMA) or the point's matched filter (CSMS).  The estimates are
+    de-rotated by the truth before the readout, so its mismatch is the
+    error itself, phase in (-180, 180].  Every other array of the block
+    lives in the process's ``_workspace``, passed to every stage as its
+    ``scratch``; the caller holds ``_lock`` from drawing the noise until it
+    has read ``out``.  The workspace's names are of two kinds:
 
     - the stages' temporaries, each used only while its stage runs, so that
       stages share them: complex128 "spectrum", the clean stream's (T, L) or
@@ -396,44 +396,50 @@ def _trial_chunk(model, block, out=None, noise=None):
       (T, V), the correlator's output, which CSMS equalizes in place, and
       "derotated" (T, V).  ``_group_rows`` adds float64 "errors".
     """
-    point, v = model.point, model.point.n_elements
-    with _lock:
-        scratch = _workspace.array
-        if noise is None:
-            noise = _noise_block(model, block, scratch)
-        size = noise.shape[1]
-        out = np.empty((size, 2, v - 1)) if out is None else out[:size]
-        if model.signal is None:
-            # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
-            rng = rng_stream(model.master_seed, point.index, 1 + block)
-            phases = rng.random(out=scratch("phases", (size, v), np.float64))
-            derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
-                                       scratch)
-        else:
-            derotate, clean = model.signal
-        planes = scratch("planes", (2, size, clean.shape[-1]), np.float64)
-        np.multiply(noise[..., :clean.shape[-1]], np.sqrt(model.noise_var / 2.0), out=planes)
-        np.add(planes, clean, out=planes)
-        if point.scheme == "OMA":
-            estimates = oma_estimate(model.code, planes, scratch)
-        else:
-            estimates = csms_peaks(model.code, v, planes, matched_filter=model.matched_filter,
-                                   scratch=scratch)
-            zf_equalize(estimates, model.eq, estimates)
-        derotated = np.multiply(estimates, derotate,
-                                out=scratch("derotated", (size, v), np.complex128))
-        extract_mismatch(derotated, out, scratch)
+    point, v, size = model.point, model.point.n_elements, noise.shape[1]
+    scratch = _workspace.array
+    if model.signal is None:
+        # rng.uniform(0, 2 pi) draws: 0 + 2 pi * u for each uniform double u.
+        rng = rng_stream(cfg.master_seed, point.index, 1 + block)
+        phases = rng.random(out=scratch("phases", (size, v), np.float64))
+        derotate, clean = _realize(point, model.code, np.multiply(phases, 2.0 * np.pi, out=phases),
+                                   scratch)
+    else:
+        derotate, clean = model.signal
+    planes = scratch("planes", (2, size, clean.shape[-1]), np.float64)
+    np.multiply(noise[..., :clean.shape[-1]], np.sqrt(model.noise_var / 2.0), out=planes)
+    np.add(planes, clean, out=planes)
+    if point.scheme == "OMA":
+        estimates = oma_estimate(model.code, planes, scratch)
+    else:
+        estimates = csms_peaks(model.code, v, planes, matched_filter=model.matched_filter,
+                               scratch=scratch)
+        zf_equalize(estimates, model.eq, estimates)
+    derotated = np.multiply(estimates, derotate, out=scratch("derotated", (size, v), np.complex128))
+    extract_mismatch(derotated, out, scratch)
     return out
 
 
 def run_trial(cfg, point, trial_index):
-    """(gain, phase) errors of one trial, taken from its block as the report takes them.
+    """(gain, phase) errors of trial ``trial_index`` of ``point``, one of
+    ``scenario_points(cfg)``, taken from its block as the report takes them.
 
-    The block runs under ``_lock``, between other threads' calls."""
+    Under ``_lock``, between other threads' calls, the block's shared noise
+    is drawn and the point's block received into a new array, as
+    ``_group_rows`` receives it."""
+    if point not in scenario_points(cfg):
+        raise ConfigError(f"{point} is not a grid point of this scenario")
+    if isinstance(trial_index, bool) or not isinstance(trial_index, numbers.Integral):
+        raise ConfigError(f"trial index must be an integer, got {trial_index!r}")
     if not 0 <= trial_index < cfg.trials:
-        raise ArrayCalError(f"trial index {trial_index} outside [0, {cfg.trials})")
-    block, row = divmod(trial_index, BLOCK_TRIALS)
-    return tuple(_trial_chunk(PointModel.build(cfg, point), block)[row])
+        raise ConfigError(f"trial index {trial_index} outside [0, {cfg.trials})")
+    block, row = divmod(int(trial_index), BLOCK_TRIALS)
+    model = PointModel.build(cfg, point)
+    with _lock:
+        noise = _noise_block(cfg, block, _workspace.array)
+        errors = np.empty((noise.shape[1], 2, point.n_elements - 1))
+        _trial_chunk(cfg, model, block, noise, errors)
+    return tuple(errors[row])
 
 
 class _ErrorSums:
@@ -497,13 +503,9 @@ class RmseRow:
     seed: int
 
     def as_csv_record(self):
-        """The fields in ``CSV_COLUMNS`` order: floats by ``repr``, the rest unchanged."""
-        return [_fmt(getattr(self, f.name)) if f.type is float else getattr(self, f.name)
-                for f in fields(self)]
-
-
-def _fmt(x):
-    return repr(float(x))
+        """The fields in ``CSV_COLUMNS`` order, as they are: ``csv`` writes a float as its
+        ``repr``."""
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass(frozen=True)
@@ -514,23 +516,19 @@ class RmseReport:
     comment: str = ""
 
     def write_csv(self, destination):
+        """Write ``to_csv_text()`` to a file object or to the file at path ``destination``."""
         if hasattr(destination, "write"):
-            self._write(destination)
+            destination.write(self.to_csv_text())
         else:
-            with open(destination, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh):
-        if self.comment:
-            fh.write(f"# {self.comment}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(row.as_csv_record())
+            Path(destination).write_text(self.to_csv_text(), newline="")
 
     def to_csv_text(self):
         buf = io.StringIO()
-        self._write(buf)
+        if self.comment:
+            buf.write(f"# {self.comment}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.as_csv_record() for row in self.rows)
         return buf.getvalue()
 
 
@@ -550,11 +548,11 @@ def _group_rows(cfg, points):
         theories = [accuracy.theory_point(model.gains, model.noise_stats()) for model in models]
         sums = [_ErrorSums(cfg.trials, point.n_elements) for point in points]
         for block in range(math.ceil(cfg.trials / BLOCK_TRIALS)):
-            noise = _noise_block(models[0], block, _workspace.array)
+            noise = _noise_block(cfg, block, _workspace.array)
             for model, point_sums in zip(models, sums):
                 shape = (1 + noise.shape[1], 2, model.point.n_elements - 1)
                 errors = _workspace.array("errors", shape, np.float64)
-                chunk = _trial_chunk(model, block, errors[1:], noise)
+                chunk = _trial_chunk(cfg, model, block, noise, errors[1:])
                 np.square(chunk, out=chunk)
                 point_sums.add(errors)
         return tuple(_row(cfg, point, theory, point_sums.result())

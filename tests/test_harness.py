@@ -22,9 +22,9 @@ from arraycal.channel import LinkBudget
 from arraycal.codes import msequence_code, walsh_matrix
 from arraycal.errors import (ArrayCalError, ConfigError, DimensionError, NonMaximalPolynomial,
                             UnknownFigure)
-from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, ScenarioConfig,
-                              figure_configs, reproduce_figure, rng_stream, run_scenario,
-                              run_trial, scenario_points)
+from arraycal.harness import (CSV_COLUMNS, GridPoint, PointModel, RmseReport, RmseRow,
+                              ScenarioConfig, figure_configs, reproduce_figure, rng_stream,
+                              run_scenario, run_trial, scenario_points)
 from arraycal.receiver import csms_peaks, new_array, oma_estimate
 from oracles import build_correlation_matrix, two_angle_mismatch
 
@@ -50,6 +50,17 @@ def small_csms_config(**overrides):
                 trials=64, master_seed=7)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def receive_block(cfg, model, block, out=None):
+    """Trial block ``block`` of ``model``, a point of ``cfg``, received as ``_group_rows``
+    receives it: under the harness lock, the block's shared noise, then the chunk into
+    ``out`` or a new array."""
+    with harness._lock:
+        noise = harness._noise_block(cfg, block, harness._workspace.array)
+        if out is None:
+            out = np.empty((noise.shape[1], 2, model.point.n_elements - 1))
+        return harness._trial_chunk(cfg, model, block, noise, out)
 
 
 class TestScenarioConfig:
@@ -403,6 +414,28 @@ class TestRunTrial:
         with pytest.raises(ArrayCalError, match="trial index"):
             run_trial(cfg, scenario_points(cfg)[0], trial_index)
 
+    @pytest.mark.parametrize("point, trial_index", [
+        (GridPoint(0, "OMA", 3, 8, 20.0), 0),
+        (GridPoint(5, "CSMS", 3, 7, 20.0), 0),
+        (GridPoint(0, "CSMS", 3, 7, 30.0), 0),
+        (GridPoint(0, "CSMS", 2, 7, 20.0), 0),
+        ((0, "CSMS", 3, 7, 20.0), 0),
+        (GridPoint(0, "CSMS", 3, 7, 20.0), True),
+        (GridPoint(0, "CSMS", 3, 7, 20.0), 2.5),
+        (GridPoint(0, "CSMS", 3, 7, 20.0), "1"),
+    ], ids=["other-scheme-and-length", "index-outside-grid", "other-snr", "other-V",
+            "not-a-grid-point", "bool-index", "float-index", "str-index"])
+    def test_trial_outside_scenario_is_a_config_error(self, point, trial_index):
+        # A trial is one of the scenario's own: a point of another grid would
+        # run under this scenario's seed and taps, and a bool or float index
+        # would be read as an integer or fail deep in the chain.
+        cfg = ScenarioConfig(scheme="CSMS", code_length=7, n_elements=3, snr_grid_db=(20.0,),
+                             trials=5)
+        np.testing.assert_array_equal(run_trial(cfg, GridPoint(0, "CSMS", 3, 7, 20.0), np.int64(1)),
+                                      run_trial(cfg, scenario_points(cfg)[0], 1))
+        with pytest.raises(ConfigError):
+            run_trial(cfg, point, trial_index)
+
     def test_per_trial_phase_policy_redraws(self):
         base = small_csms_config()
         redraw = small_csms_config(phase_policy="per-trial")
@@ -501,7 +534,7 @@ class TestSingleChain:
 
             monkeypatch.setattr(harness, name, recorded)
         for block in range(3):
-            chunk = harness._trial_chunk(model, block)
+            chunk = receive_block(cfg, model, block)
             raw = estimates[-1]
             if cfg.phase_policy == "per-trial":
                 rng = rng_stream(cfg.master_seed, point.index, 1 + block)
@@ -594,11 +627,11 @@ class TestSingleChain:
         # on the same model first changes neither its output nor the model.
         cfg = small_csms_config(trials=3 * harness.BLOCK_TRIALS - 5, phase_policy="per-trial")
         point = scenario_points(cfg)[0]
-        fresh = [harness._trial_chunk(PointModel.build(cfg, point), b) for b in (1, 2)]
+        fresh = [receive_block(cfg, PointModel.build(cfg, point), b) for b in (1, 2)]
         model = PointModel.build(cfg, point)
         phases = model.gains.phases.copy()
-        harness._trial_chunk(model, 0)
-        after = [harness._trial_chunk(model, b) for b in (2, 1)][::-1]
+        receive_block(cfg, model, 0)
+        after = [receive_block(cfg, model, b) for b in (2, 1)][::-1]
         for a, b in zip(fresh, after):
             np.testing.assert_array_equal(a[:, 0], b[:, 0])
             np.testing.assert_array_equal(a[:, 1], b[:, 1])
@@ -746,10 +779,10 @@ class TestWorkspace:
         model = PointModel.build(cfg, scenario_points(cfg)[0])
         point = model.point
         errors = np.empty((harness.BLOCK_TRIALS, 2, point.n_elements - 1))
-        harness._trial_chunk(model, 0, errors)
+        receive_block(cfg, model, 0, errors)
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
         for block in range(1, 10):
-            harness._trial_chunk(model, block, errors)
+            receive_block(cfg, model, block, errors)
         assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before <= 9
 
 
@@ -1388,6 +1421,26 @@ class TestCsvFormat:
         report.write_csv(out)
         assert out.read_text() == report.to_csv_text()
 
+    def test_every_column_is_its_row_field(self):
+        # Each column is its RmseRow field as csv writes it: a float by repr,
+        # also an np.float64, inf or a subnormal, anything else by str.
+        import csv as csv_mod
+        import io
+        run = run_scenario(small_csms_config(snr_grid_db=(10.0, math.inf), trials=70)).rows
+        edge = RmseRow("OMA", 2, 4, math.inf, 5e-324, np.float64(0.1), -0.0, 1e22, math.inf,
+                       np.float64(5e-324), 1, 2**64 - 1)
+        rows = (*run, edge)
+        names = {"V": "n_elements", "L": "code_length"}
+        assert [names.get(c, c) for c in CSV_COLUMNS] == [f.name for f in fields(RmseRow)]
+        records = list(csv_mod.DictReader(io.StringIO(RmseReport(rows=rows).to_csv_text())))
+        assert len(records) == len(rows)
+        for record, row in zip(records, rows):
+            assert list(record) == CSV_COLUMNS
+            for column in CSV_COLUMNS:
+                value = getattr(row, names.get(column, column))
+                assert record[column] == (repr(float(value)) if isinstance(value, float)
+                                          else str(value)), column
+
     def test_values_round_trip(self):
         import csv as csv_mod
         import io
@@ -1475,16 +1528,14 @@ def test_noise_key_collides_with_no_point_key(seed, monkeypatch):
     # numpy pads an entropy list to four words with zeros, so [s, x] and
     # [s, x, 0] seed one state: a noise key that matched a point key's padded
     # words would replay that point's phases as its noise.
-    models = [PointModel.build(ScenarioConfig(scheme=scheme, code_length=length, n_elements=2,
-                                              snr_grid_db=(20.0,), trials=256, master_seed=seed),
-                               GridPoint(0, scheme, 2, length, 20.0))
-              for scheme, length in (("OMA", 2), ("OMA", 8), ("OMA", 64), ("CSMS", 7),
-                                     ("CSMS", 63))]
+    cfgs = [ScenarioConfig(scheme=scheme, code_length=length, n_elements=2, snr_grid_db=(20.0,),
+                           trials=256, master_seed=seed)
+            for scheme, length in (("OMA", 2), ("OMA", 8), ("OMA", 64), ("CSMS", 7), ("CSMS", 63))]
     keys = []
     monkeypatch.setattr(harness, "rng_stream", lambda *key: keys.append(key) or rng_stream(*key))
-    for model in models:
+    for cfg in cfgs:
         for block in range(4):
-            harness._noise_block(model, block)
+            harness._noise_block(cfg, block, new_array)
     noise = {_first_draws(*key) for key in keys}
     points = {_first_draws(seed, index, key)
               for index in range(8) for key in (0, *(1 + block for block in range(4)))}
